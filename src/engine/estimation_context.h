@@ -87,10 +87,10 @@ struct PrewarmReport {
 ///
 /// The statistics substrate is a durable artifact: Prewarm fills the lazy
 /// caches for a workload ahead of time, SaveSnapshot persists everything
-/// built so far to a versioned binary file, and LoadSnapshot restores it in
-/// milliseconds on a later process start (guarded by the graph fingerprint,
-/// so stats never load against the wrong dataset). See engine/snapshot.h
-/// for the file format.
+/// built so far to an mmap-able arena file, and LoadSnapshot maps it back
+/// on a later process start (guarded by the graph fingerprint, so stats
+/// never load against the wrong dataset). See engine/snapshot.h for the
+/// file format.
 ///
 /// The context is also *update-aware*: ApplyDeltas folds a batch of edge
 /// inserts/deletes into the graph (via a dynamic::DeltaGraph compaction)
@@ -284,18 +284,16 @@ class EstimationContext {
   PrewarmReport Prewarm(const std::vector<query::WorkloadQuery>& workload,
                         const PrewarmOptions& options = {}) const;
 
-  /// Persists every statistic built so far (lazily or via Prewarm) to a
-  /// versioned binary snapshot at `path`, stamped with the context's
-  /// dynamic fingerprint (base fingerprint in the header; delta hash and
-  /// epoch in a dynamic-state section when the context has applied
-  /// deltas). `format` picks the container: the serde-parsed v1/v2 layout
-  /// or the mmap-able arena (version 3, see engine/snapshot.h). Mapped
-  /// entries a context serves but has never copied into its memo caches
-  /// are not re-exported — Save persists computed entries, and missing
-  /// ones recompute lazily to identical values. Implemented in
-  /// engine/snapshot.cc.
-  util::Status SaveSnapshot(const std::string& path,
-                            SnapshotFormat format = SnapshotFormat::kV2) const;
+  /// Persists every statistic built so far (lazily or via Prewarm) to an
+  /// arena snapshot at `path` (version 3, see engine/snapshot.h), stamped
+  /// with the context's dynamic fingerprint (base fingerprint, delta hash
+  /// and epoch). `format` has the one value kArena. Entries a freshly
+  /// loaded context still serves off its attached indexes are written too,
+  /// so re-saving (or re-sharding) a loaded snapshot is lossless.
+  /// Implemented in engine/snapshot.cc.
+  util::Status SaveSnapshot(
+      const std::string& path,
+      SnapshotFormat format = SnapshotFormat::kArena) const;
 
   /// How one LoadSnapshot resolved.
   struct SnapshotLoadReport {
@@ -308,12 +306,11 @@ class EstimationContext {
     size_t replayed_deltas = 0;
     size_t evicted_entries = 0;
     /// True: arena indexes were attached in place (zero-copy; lookups
-    /// serve straight off the mapped bytes until first write). False: the
-    /// sections were parsed/materialized into the memo caches (v1/v2
-    /// files, and stale arena loads — the replay scrub only sees memo
-    /// entries).
+    /// serve straight off the mapped bytes until first touch). False: the
+    /// sections were materialized into the memo caches (stale loads — the
+    /// replay scrub only sees memo entries).
     bool mapped = false;
-    /// Total bytes of arena images backing this load (0 for pure v1/v2).
+    /// Total bytes of arena images backing this load.
     uint64_t mapped_bytes = 0;
     /// Time opening + validating the container(s): mmap and header/index
     /// checks for arenas, file reads and manifest hash checks for shards.
@@ -328,11 +325,11 @@ class EstimationContext {
   /// [0, num_shards) (the keyed sections split by key-hash range; see
   /// engine/snapshot.h). The union of all shards is entry-for-entry
   /// equivalent to SaveSnapshot's monolithic file; a fleet process loads
-  /// only its shard set. `format` picks the shard files' container exactly
-  /// as in SaveSnapshot. Implemented in engine/snapshot.cc.
+  /// only its shard set. Every file is an arena image (`format` as in
+  /// SaveSnapshot). Implemented in engine/snapshot.cc.
   util::Status SaveSnapshotShards(
       const std::string& manifest_path, uint32_t num_shards,
-      SnapshotFormat format = SnapshotFormat::kV2) const;
+      SnapshotFormat format = SnapshotFormat::kArena) const;
 
   /// Restores a sharded snapshot from the manifest at `manifest_path`,
   /// loading the common file plus the shard files named in `shards`
@@ -345,40 +342,29 @@ class EstimationContext {
                                   const std::vector<uint32_t>& shards,
                                   SnapshotLoadReport* report = nullptr) const;
 
-  /// Restores a snapshot written by SaveSnapshot. Rejects files whose
-  /// magic/version are unknown (InvalidArgument), that are truncated or
-  /// corrupted (OutOfRange/InvalidArgument from the bounds-checked
-  /// reader), or whose fingerprint is incompatible (FailedPrecondition:
-  /// "fingerprint mismatch — rebuild"). A shard-manifest path (see
-  /// engine/snapshot.h) is accepted transparently and loads the union of
-  /// all shards.
-  ///
-  /// Compatibility is judged against the dynamic fingerprint: a snapshot
-  /// whose (delta hash, epoch) equals this context's state loads fully; a
-  /// snapshot taken at an *earlier epoch of the same delta log* is stale
-  /// but usable — its keyed-cache sections are merged and then scrubbed
-  /// for the labels the missing deltas touched (whole-graph summaries are
-  /// skipped and rebuild lazily); anything else is a mismatch. `report`,
-  /// if non-null, receives which path was taken. Loaded entries merge into
-  /// the lazy caches (existing entries win). Call before handing out
-  /// estimators. Implemented in engine/snapshot.cc.
-  util::Status LoadSnapshot(const std::string& path,
-                            SnapshotLoadReport* report = nullptr) const;
-
-  /// The zero-copy restore path: mmaps an arena (version 3) snapshot and
+  /// Restores a snapshot written by SaveSnapshot: mmaps the file and
   /// attaches its per-section hash indexes behind the stats structures'
   /// lookup APIs — nothing is parsed up front, lookups serve straight off
   /// the mapped page cache and copy into the memo caches on first use.
-  /// Freshness/options guards are identical to LoadSnapshot; stale arena
-  /// snapshots are materialized into the memo caches and scrubbed exactly
-  /// like a v2 load (the replay scrub only sees memo entries, so stale
-  /// indexes are never left attached). Shard-manifest paths are accepted
-  /// and resolve each file's format by magic; v1/v2 files fall back to the
-  /// parse path transparently. LoadSnapshot itself routes arena files
-  /// here, so callers only need this entry point to force the distinction
-  /// in reports/benchmarks. Implemented in engine/snapshot.cc.
-  util::Status LoadSnapshotMapped(const std::string& path,
-                                  SnapshotLoadReport* report = nullptr) const;
+  /// Rejects files whose magic/version are unknown or retired (v1/v2:
+  /// InvalidArgument with a rebuild hint), that are truncated or corrupted
+  /// (OutOfRange/InvalidArgument from the bounds-checked readers), or whose
+  /// fingerprint is incompatible (FailedPrecondition: "fingerprint
+  /// mismatch — rebuild"). A shard-manifest path (see engine/snapshot.h)
+  /// is accepted transparently and loads the union of all shards.
+  ///
+  /// Compatibility is judged against the dynamic fingerprint: a snapshot
+  /// whose described graph equals this context's current graph attaches
+  /// fully; a snapshot taken at an *earlier epoch of the same delta log* is
+  /// stale but usable — its keyed-cache sections are materialized into the
+  /// memo caches and then scrubbed for the labels the missing deltas
+  /// touched (whole-graph summaries are skipped and rebuild lazily; stale
+  /// indexes are never left attached); anything else is a mismatch.
+  /// `report`, if non-null, receives which path was taken. Loaded entries
+  /// merge into the lazy caches (existing entries win). Call before
+  /// handing out estimators. Implemented in engine/snapshot.cc.
+  util::Status LoadSnapshot(const std::string& path,
+                            SnapshotLoadReport* report = nullptr) const;
 
  private:
   /// The dynamic fingerprint after each epoch: epoch_history_[k] is the
@@ -398,29 +384,18 @@ class EstimationContext {
   struct ForkTag {};
   explicit EstimationContext(ForkTag) : g_(nullptr) {}
 
-  /// The monolithic-snapshot load over an in-memory image — the single
-  /// parse/merge path behind LoadSnapshot (which reads the file) and
-  /// LoadSnapshotShards (which verifies each file's bytes against the
-  /// manifest hash first and must load exactly the bytes it verified).
-  /// `validate_only` stops after the staging parse (nothing merges) —
-  /// the manifest path validates every image before applying any, so a
-  /// failed multi-file load leaves the context untouched. `scrub_stale`
-  /// gates the post-merge stale-entry scrub; the manifest path runs it
-  /// once on the last image instead of once per file (every file of one
-  /// artifact carries the same epoch stamp). Implemented in
-  /// engine/snapshot.cc.
-  util::Status LoadSnapshotBytes(std::string_view bytes,
-                                 SnapshotLoadReport* report,
-                                 bool validate_only = false,
-                                 bool scrub_stale = true) const;
-
-  /// The arena-image twin of LoadSnapshotBytes: validates the meta
-  /// section and every index header first (`validate_only` stops there),
-  /// then either attaches the indexes in place (fresh) or materializes
-  /// them into the memo caches and scrubs (stale). The structures keep
-  /// `arena` alive through shared_ptr owners, so a hot-swap drops the
-  /// mapping only once the last reader is gone. Implemented in
-  /// engine/snapshot.cc.
+  /// The load over one mapped image, behind LoadSnapshot and
+  /// LoadSnapshotShards (which verifies each file against the manifest
+  /// hash first and must load exactly the bytes it verified). Validates
+  /// the meta section and every index header first (`validate_only` stops
+  /// there, so the manifest path can validate every image before applying
+  /// any and a failed multi-file load leaves the context untouched), then
+  /// either attaches the indexes in place (fresh) or materializes them into
+  /// the memo caches and scrubs (stale). `scrub_stale` gates that scrub;
+  /// the manifest path runs it once, on the last image (every file of one
+  /// artifact carries the same epoch stamp). The structures keep `arena`
+  /// alive through shared_ptr owners, so a hot-swap drops the mapping only
+  /// once the last reader is gone. Implemented in engine/snapshot.cc.
   util::Status LoadSnapshotArena(
       const std::shared_ptr<const util::MappedArena>& arena,
       SnapshotLoadReport* report, bool validate_only = false,

@@ -23,8 +23,20 @@ namespace {
 using util::serde::Reader;
 using util::serde::Writer;
 
-std::string EncodeDeltaLogPayload(
-    const std::vector<dynamic::EdgeDelta>& replay_log);
+/// The magic of the retired v1/v2 container. This build writes and reads
+/// arena snapshots only; such files are recognized just to say so.
+constexpr char kRetiredSnapshotMagic[8] = {'C', 'E', 'G', 'S',
+                                           'N', 'A', 'P', '1'};
+
+bool HasMagic(std::string_view bytes, const char* magic) {
+  return bytes.size() >= 8 && std::memcmp(bytes.data(), magic, 8) == 0;
+}
+
+util::Status RetiredFormatError(const std::string& what) {
+  return util::InvalidArgumentError(
+      what + " is a retired v1/v2 snapshot (this build reads arena "
+             "snapshots only); rebuild with `cegraph_stats build`");
+}
 
 util::StatusOr<std::string> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -125,33 +137,6 @@ util::StatusOr<SnapshotOptions> ReadOptions(Reader& reader) {
   return out;
 }
 
-/// Validates magic + version and reads the fixed header; on success the
-/// reader is positioned at the section count.
-util::StatusOr<SnapshotInfo> ReadHeader(Reader& reader) {
-  auto magic = reader.ReadRaw(8);
-  if (!magic.ok()) return magic.status();
-  if (std::memcmp(magic->data(), kSnapshotMagic, 8) != 0) {
-    return util::InvalidArgumentError("not a cegraph summary snapshot");
-  }
-  SnapshotInfo info;
-  auto version = reader.ReadU32();
-  if (!version.ok()) return version.status();
-  if (*version < 1 || *version > kSnapshotVersion) {
-    return util::InvalidArgumentError(
-        "unsupported snapshot version " + std::to_string(*version) +
-        " (this build reads versions 1.." + std::to_string(kSnapshotVersion) +
-        ")");
-  }
-  info.version = *version;
-  auto fp = ReadFingerprint(reader);
-  if (!fp.ok()) return fp.status();
-  info.fingerprint = *fp;
-  auto options = ReadOptions(reader);
-  if (!options.ok()) return options.status();
-  info.options = *options;
-  return info;
-}
-
 std::string DescribeFingerprint(const graph::GraphFingerprint& fp) {
   std::ostringstream out;
   out << fp.num_vertices << "V/" << fp.num_labels << "L/" << fp.num_edges
@@ -172,111 +157,6 @@ struct StatsRefs {
   std::shared_ptr<const learn::FeedbackStore> feedback;
 };
 
-using SectionList = std::vector<std::pair<SnapshotSection, std::string>>;
-
-/// The keyed-cache sections, optionally filtered to one key-hash shard
-/// (num_shards == 0 writes everything — the monolithic layout).
-SectionList BuildKeyedSections(const StatsRefs& s, uint32_t shard,
-                               uint32_t num_shards) {
-  SectionList sections;
-  for (const auto& [h, table] : s.markovs) {
-    Writer payload;
-    payload.WriteU32(static_cast<uint32_t>(h));
-    table->ExportEntries(payload, shard, num_shards);
-    sections.emplace_back(SnapshotSection::kMarkov, payload.TakeBuffer());
-  }
-  if (s.rates != nullptr) {
-    Writer payload;
-    s.rates->ExportEntries(payload, shard, num_shards);
-    sections.emplace_back(SnapshotSection::kClosingRates,
-                          payload.TakeBuffer());
-  }
-  if (s.catalog != nullptr) {
-    Writer payload;
-    s.catalog->ExportEntries(payload, shard, num_shards);
-    sections.emplace_back(SnapshotSection::kDegreeCatalog,
-                          payload.TakeBuffer());
-  }
-  if (s.dispersion != nullptr) {
-    Writer payload;
-    s.dispersion->ExportEntries(payload, shard, num_shards);
-    sections.emplace_back(SnapshotSection::kDispersion, payload.TakeBuffer());
-  }
-  return sections;
-}
-
-/// The whole-graph summary sections. Never sharded: their internal
-/// structure (superedge tables between SumRDF buckets, the CS group table)
-/// is not key-separable, so they travel in the manifest's common file.
-SectionList BuildSummarySections(const StatsRefs& s) {
-  SectionList sections;
-  if (s.char_sets != nullptr) {
-    Writer payload;
-    s.char_sets->Save(payload);
-    sections.emplace_back(SnapshotSection::kCharSets, payload.TakeBuffer());
-  }
-  if (s.summary != nullptr) {
-    Writer payload;
-    s.summary->Save(payload);
-    sections.emplace_back(SnapshotSection::kSummaryGraph,
-                          payload.TakeBuffer());
-  }
-  // The learned-feedback store rides with the summaries: it is
-  // whole-store state (not key-separable), so it travels in monolithic
-  // files and the manifest's common file, never in shard files. Empty
-  // stores write nothing — a snapshot saved before any truth arrived is
-  // byte-identical to a pre-feedback snapshot.
-  if (s.feedback != nullptr && s.feedback->class_count() > 0) {
-    sections.emplace_back(SnapshotSection::kFeedback,
-                          s.feedback->Serialize());
-  }
-  return sections;
-}
-
-/// The dynamic-state stamp (and optionally the embedded replay log) of a
-/// post-delta context; empty at epoch 0. See the comments at the original
-/// SaveSnapshot call sites: the stamp records which point of the delta log
-/// the statistics describe, and the log makes the artifact self-contained
-/// — but only while nothing has been trimmed (a partial log could not
-/// reconstruct the state from the base graph, so it is omitted entirely).
-SectionList BuildDynamicSections(
-    uint64_t epoch, uint64_t delta_hash,
-    const graph::GraphFingerprint& current_fp,
-    const std::vector<dynamic::EdgeDelta>& replay_log, size_t log_trimmed,
-    bool include_delta_log) {
-  SectionList sections;
-  if (epoch == 0) return sections;
-  Writer payload;
-  payload.WriteU64(delta_hash);
-  payload.WriteU64(epoch);
-  WriteFingerprint(payload, current_fp);
-  sections.emplace_back(SnapshotSection::kDynamicState, payload.TakeBuffer());
-  if (include_delta_log && log_trimmed == 0) {
-    sections.emplace_back(SnapshotSection::kDeltaLog,
-                          EncodeDeltaLogPayload(replay_log));
-  }
-  return sections;
-}
-
-/// One complete snapshot file image: header + section table.
-std::string EncodeSnapshotFile(uint32_t version,
-                               const graph::GraphFingerprint& base_fp,
-                               const SnapshotOptions& options,
-                               const SectionList& sections) {
-  Writer writer;
-  writer.WriteRaw(std::string_view(kSnapshotMagic, 8));
-  writer.WriteU32(version);
-  WriteFingerprint(writer, base_fp);
-  WriteOptions(writer, options);
-  writer.WriteU32(static_cast<uint32_t>(sections.size()));
-  for (const auto& [id, payload] : sections) {
-    writer.WriteU32(static_cast<uint32_t>(id));
-    writer.WriteU64(payload.size());
-    writer.WriteRaw(payload);
-  }
-  return writer.TakeBuffer();
-}
-
 /// Resolves a manifest-stored (relative) file name against the manifest's
 /// own directory.
 std::string ResolveManifestFile(const std::string& manifest_path,
@@ -292,8 +172,12 @@ double MillisSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// The snapshot-vs-context options guard shared by every load path (see
-/// the comment in LoadSnapshotBytes for why markov_h is exempt).
+/// The snapshot-vs-context options guard shared by every load path.
+/// Statistics computed under different construction knobs would merge
+/// cleanly but answer wrongly (over-cap verdicts from a smaller
+/// materialize cap, rates from a different sampling setup, a summary with
+/// a different bucket target), so they are rejected. markov_h is exempt:
+/// Markov sections carry their own h and their entries are exact counts.
 util::Status CheckSnapshotOptions(const SnapshotOptions& snap,
                                   const ContextOptions& ctx) {
   SnapshotOptions expected = OptionsOf(ctx);
@@ -313,8 +197,7 @@ util::Status CheckSnapshotOptions(const SnapshotOptions& snap,
       std::to_string(snap.cc_seed) + ")");
 }
 
-/// The "neither fresh nor stale-replayable" rejection shared by the v2 and
-/// arena load paths.
+/// The "neither fresh nor stale-replayable" rejection.
 util::Status FingerprintMismatchError(
     const graph::GraphFingerprint& snap_current,
     const graph::GraphFingerprint& snap_base, uint64_t snap_epoch,
@@ -335,7 +218,8 @@ util::Status FingerprintMismatchError(
            : "rebuild the snapshot for this graph state"));
 }
 
-/// The kDeltaLog payload (shared verbatim by the v2 and arena containers).
+/// The kDeltaLog payload: u64 count + count x { u8 op, u32 src, u32 dst,
+/// u32 label }.
 std::string EncodeDeltaLogPayload(
     const std::vector<dynamic::EdgeDelta>& replay_log) {
   Writer log;
@@ -376,8 +260,6 @@ util::StatusOr<std::vector<dynamic::EdgeDelta>> ParseDeltaLogPayload(
   }
   return log;
 }
-
-// ---- Arena (version 3) container ----
 
 constexpr uint32_t SectionId(SnapshotSection s) {
   return static_cast<uint32_t>(s);
@@ -442,10 +324,11 @@ util::StatusOr<ArenaMeta> ParseArenaMeta(std::string_view payload) {
 }
 
 /// One complete arena file image. `include_keyed`/`include_summaries`
-/// select the section groups exactly like the v2 Build*Sections helpers
-/// (shard files carry keyed indexes, the common file the summaries); the
-/// meta section is always present, and the delta log travels only in
-/// monolithic/common files of untrimmed dynamic contexts.
+/// select the section groups (shard files carry the keyed indexes, the
+/// common file the summaries, a monolithic file both); the meta section is
+/// always present. The delta log travels only in monolithic/common files
+/// of dynamic contexts, and only while nothing has been trimmed: a partial
+/// log could not reconstruct the state from the base graph.
 std::string EncodeArenaSnapshotFile(
     const StatsRefs& s, uint32_t shard, uint32_t num_shards,
     bool include_keyed, bool include_summaries,
@@ -461,7 +344,7 @@ std::string EncodeArenaSnapshotFile(
   if (include_keyed) {
     for (const auto& [h, table] : s.markovs) {
       util::ArenaIndexBuilder index;
-      table->ExportArenaEntries(index, shard, num_shards);
+      table->cache().Export(index, shard, num_shards);
       Writer payload;
       payload.WriteU32(static_cast<uint32_t>(h));
       payload.WriteU32(0);  // pad: the index payload starts 8-aligned
@@ -471,23 +354,23 @@ std::string EncodeArenaSnapshotFile(
     }
     if (s.rates != nullptr) {
       util::ArenaIndexBuilder index;
-      s.rates->ExportArenaEntries(index, shard, num_shards);
+      s.rates->cache().Export(index, shard, num_shards);
       arena.AddSection(SectionId(SnapshotSection::kClosingRates),
                        index.Finish());
     }
     if (s.catalog != nullptr) {
       util::ArenaIndexBuilder bases;
-      s.catalog->ExportArenaBases(bases, shard, num_shards);
+      s.catalog->base_cache().Export(bases, shard, num_shards);
       arena.AddSection(SectionId(SnapshotSection::kDegreeCatalog),
                        bases.Finish());
       util::ArenaIndexBuilder joins;
-      s.catalog->ExportArenaJoins(joins, shard, num_shards);
+      s.catalog->join_cache().Export(joins, shard, num_shards);
       arena.AddSection(SectionId(SnapshotSection::kDegreeJoins),
                        joins.Finish());
     }
     if (s.dispersion != nullptr) {
       util::ArenaIndexBuilder index;
-      s.dispersion->ExportArenaEntries(index, shard, num_shards);
+      s.dispersion->cache().Export(index, shard, num_shards);
       arena.AddSection(SectionId(SnapshotSection::kDispersion),
                        index.Finish());
     }
@@ -495,7 +378,7 @@ std::string EncodeArenaSnapshotFile(
   if (include_summaries) {
     if (s.char_sets != nullptr) {
       arena.AddSection(SectionId(SnapshotSection::kCharSets),
-                       s.char_sets->SaveArena());
+                       std::string(s.char_sets->bytes()));
     }
     if (s.summary != nullptr) {
       Writer payload;
@@ -503,9 +386,10 @@ std::string EncodeArenaSnapshotFile(
       arena.AddSection(SectionId(SnapshotSection::kSummaryGraph),
                        payload.TakeBuffer());
     }
-    // Same placement rule as the v2 BuildSummarySections: the feedback
-    // store is whole-store state, so it travels with the summaries
-    // (monolithic + common files), and an empty store writes nothing.
+    // The learned-feedback store is whole-store state (not
+    // key-separable), so it travels with the summaries (monolithic and
+    // common files, never shard files). An empty store writes nothing, so
+    // a snapshot saved before any truth arrived matches a pre-feedback one.
     if (s.feedback != nullptr && s.feedback->class_count() > 0) {
       arena.AddSection(SectionId(SnapshotSection::kFeedback),
                        s.feedback->Serialize());
@@ -518,7 +402,7 @@ std::string EncodeArenaSnapshotFile(
   return arena.Finish();
 }
 
-/// The arena branch of ReadSnapshotInfo: header from the meta section,
+/// ReadSnapshotInfo over a mapped image: header from the meta section,
 /// entry counts from each index/section header, offsets from the arena's
 /// own section table.
 util::StatusOr<SnapshotInfo> ReadArenaSnapshotInfo(
@@ -606,6 +490,87 @@ util::StatusOr<SnapshotInfo> ReadArenaSnapshotInfo(
   return info;
 }
 
+/// The first 8 bytes of the file at `path`; empty when it cannot be read
+/// or is shorter.
+std::string ReadMagic(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  char magic[8];
+  if (!in || !in.read(magic, 8)) return {};
+  return std::string(magic, 8);
+}
+
+/// Maps the arena snapshot at `path`. A retired v1/v2 file fails with the
+/// rebuild hint instead of the container's bad-magic error.
+util::StatusOr<std::shared_ptr<const util::MappedArena>> MapSnapshotFile(
+    const std::string& path) {
+  auto arena = util::MappedArena::MapFile(path);
+  if (!arena.ok() &&
+      arena.status().code() == util::StatusCode::kInvalidArgument &&
+      HasMagic(ReadMagic(path), kRetiredSnapshotMagic)) {
+    return RetiredFormatError(path);
+  }
+  return arena;
+}
+
+/// Maps one file a shard manifest references and checks it against the
+/// manifest entry: size and content hash (verified over the mapped view,
+/// no byte copy, and the loader then uses exactly the bytes it verified),
+/// and that it is a snapshot rather than another manifest, which keeps
+/// manifest resolution strictly one level deep. Bytes that fail container
+/// validation are re-read so a corrupted or replaced file reports the
+/// manifest mismatch rather than whatever the container check tripped on.
+util::StatusOr<std::shared_ptr<const util::MappedArena>> MapManifestEntry(
+    const std::string& manifest_path, const ShardFileInfo& info) {
+  const std::string path = ResolveManifestFile(manifest_path, info.file);
+  auto mismatch = [&](size_t size) {
+    return util::InvalidArgumentError(
+        "shard file " + info.file +
+        " does not match its manifest entry (corrupted or replaced; "
+        "expected " + std::to_string(info.bytes) + " bytes, got " +
+        std::to_string(size) + ")");
+  };
+  auto arena = util::MappedArena::MapFile(path);
+  if (arena.ok()) {
+    const std::string_view view = (*arena)->bytes();
+    if (view.size() != info.bytes || util::StableHash64(view) != info.hash) {
+      return mismatch(view.size());
+    }
+    return arena;
+  }
+  auto bytes = ReadFileBytes(path);
+  if (!bytes.ok()) {
+    return util::NotFoundError("manifest names missing shard file " +
+                               info.file + ": " + bytes.status().message());
+  }
+  if (bytes->size() != info.bytes ||
+      util::StableHash64(*bytes) != info.hash) {
+    return mismatch(bytes->size());
+  }
+  if (HasMagic(*bytes, kShardManifestMagic)) {
+    return util::InvalidArgumentError(
+        "manifest entry " + info.file +
+        " is itself a shard manifest (manifests cannot nest)");
+  }
+  if (HasMagic(*bytes, kRetiredSnapshotMagic)) {
+    return RetiredFormatError("manifest entry " + info.file);
+  }
+  return util::InvalidArgumentError("manifest shard file " + info.file +
+                                    ": " + arena.status().message());
+}
+
+/// The embedded net delta log of one arena image (empty when absent).
+util::StatusOr<std::vector<dynamic::EdgeDelta>> DeltaLogOf(
+    const util::MappedArena& arena) {
+  std::vector<dynamic::EdgeDelta> log;
+  for (const util::MappedArena::Section* s :
+       arena.FindSections(SectionId(SnapshotSection::kDeltaLog))) {
+    auto parsed = ParseDeltaLogPayload(arena.SectionBytes(*s));
+    if (!parsed.ok()) return parsed.status();
+    log.insert(log.end(), parsed->begin(), parsed->end());
+  }
+  return log;
+}
+
 }  // namespace
 
 const char* SnapshotSectionName(uint32_t id) {
@@ -622,8 +587,6 @@ const char* SnapshotSectionName(uint32_t id) {
       return "summary-graph";
     case SnapshotSection::kDispersion:
       return "dispersion";
-    case SnapshotSection::kDynamicState:
-      return "dynamic-state";
     case SnapshotSection::kDeltaLog:
       return "delta-log";
     case SnapshotSection::kArenaMeta:
@@ -637,115 +600,13 @@ const char* SnapshotSectionName(uint32_t id) {
 }
 
 util::StatusOr<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
-  if (IsArenaSnapshot(path)) {
-    auto arena = util::MappedArena::MapFile(path);
-    if (!arena.ok()) return arena.status();
-    return ReadArenaSnapshotInfo(**arena);
-  }
-  auto bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  Reader reader(*bytes);
-  auto info = ReadHeader(reader);
-  if (!info.ok()) return info.status();
-  info->file_bytes = bytes->size();
-  // Static snapshots describe the base graph itself; a kDynamicState
-  // section overrides this below.
-  info->current_fingerprint = info->fingerprint;
-
-  auto section_count = reader.ReadU32();
-  if (!section_count.ok()) return section_count.status();
-  for (uint32_t s = 0; s < *section_count; ++s) {
-    auto id = reader.ReadU32();
-    if (!id.ok()) return id.status();
-    auto length = reader.ReadU64();
-    if (!length.ok()) return length.status();
-    auto payload = reader.ReadRaw(static_cast<size_t>(*length));
-    if (!payload.ok()) return payload.status();
-
-    SnapshotSectionInfo section;
-    section.id = *id;
-    section.name = SnapshotSectionName(*id);
-    section.payload_bytes = *length;
-    // Every known section's payload leads with its entry count, except
-    // markov (u32 h first) and char-sets / summary-graph (a u32 shape
-    // field first).
-    Reader sub(*payload);
-    switch (static_cast<SnapshotSection>(*id)) {
-      case SnapshotSection::kMarkov: {
-        auto h = sub.ReadU32();
-        if (!h.ok()) return h.status();
-        section.markov_h = *h;
-        auto entries = sub.ReadU64();
-        if (!entries.ok()) return entries.status();
-        section.entries = *entries;
-        break;
-      }
-      case SnapshotSection::kCharSets:
-      case SnapshotSection::kSummaryGraph: {
-        auto shape = sub.ReadU32();
-        if (!shape.ok()) return shape.status();
-        auto entries = sub.ReadU64();
-        if (!entries.ok()) return entries.status();
-        section.entries = *entries;
-        break;
-      }
-      case SnapshotSection::kClosingRates:
-      case SnapshotSection::kDegreeCatalog:
-      case SnapshotSection::kDispersion: {
-        auto entries = sub.ReadU64();
-        if (!entries.ok()) return entries.status();
-        section.entries = *entries;
-        break;
-      }
-      case SnapshotSection::kDynamicState: {
-        auto delta_hash = sub.ReadU64();
-        if (!delta_hash.ok()) return delta_hash.status();
-        auto epoch = sub.ReadU64();
-        if (!epoch.ok()) return epoch.status();
-        auto current = ReadFingerprint(sub);
-        if (!current.ok()) return current.status();
-        info->delta_hash = *delta_hash;
-        info->epoch = *epoch;
-        info->current_fingerprint = *current;
-        section.entries = *epoch;
-        break;
-      }
-      case SnapshotSection::kDeltaLog: {
-        auto entries = sub.ReadU64();
-        if (!entries.ok()) return entries.status();
-        section.entries = *entries;
-        break;
-      }
-      case SnapshotSection::kFeedback:
-        section.entries = learn::FeedbackStore::CountSerializedClasses(*payload);
-        break;
-      default:
-        break;  // unknown section: size only
-    }
-    info->sections.push_back(std::move(section));
-  }
-  if (!reader.AtEnd()) {
-    return util::InvalidArgumentError("trailing bytes after last section");
-  }
-  return *info;
+  auto arena = MapSnapshotFile(path);
+  if (!arena.ok()) return arena.status();
+  return ReadArenaSnapshotInfo(**arena);
 }
 
 bool IsShardManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[8];
-  in.read(magic, 8);
-  return in.gcount() == 8 &&
-         std::memcmp(magic, kShardManifestMagic, 8) == 0;
-}
-
-bool IsArenaSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[8];
-  in.read(magic, 8);
-  return in.gcount() == 8 &&
-         std::memcmp(magic, util::kArenaMagic, 8) == 0;
+  return HasMagic(ReadMagic(path), kShardManifestMagic);
 }
 
 util::StatusOr<ShardManifest> ReadShardManifest(const std::string& path) {
@@ -773,7 +634,10 @@ util::StatusOr<ShardManifest> ReadShardManifest(const std::string& path) {
   manifest.options = *options;
   auto snapshot_version = reader.ReadU32();
   if (!snapshot_version.ok()) return snapshot_version.status();
-  if (*snapshot_version < 1 || *snapshot_version > kSnapshotVersionArena) {
+  if (*snapshot_version == 1 || *snapshot_version == 2) {
+    return RetiredFormatError("shard manifest " + path);
+  }
+  if (*snapshot_version != kSnapshotVersionArena) {
     return util::InvalidArgumentError(
         "manifest names unsupported snapshot version " +
         std::to_string(*snapshot_version));
@@ -848,98 +712,26 @@ util::StatusOr<ShardManifest> ReadShardManifest(const std::string& path) {
   return manifest;
 }
 
-namespace {
-
-/// The delta-log extraction over one snapshot image (the body shared by
-/// the file and manifest paths of ReadSnapshotDeltaLog).
-util::StatusOr<std::vector<dynamic::EdgeDelta>> ParseSnapshotDeltaLog(
-    std::string_view bytes);
-
-}  // namespace
-
 util::StatusOr<std::vector<dynamic::EdgeDelta>> ReadSnapshotDeltaLog(
     const std::string& path) {
   if (IsShardManifest(path)) {
+    // The embedded log lives in the manifest's common file, which gets the
+    // same integrity checks a sharded load gives it before a byte is read.
     auto manifest = ReadShardManifest(path);
     if (!manifest.ok()) return manifest.status();
-    // The common file (where the embedded log lives) gets the same
-    // integrity treatment LoadSnapshotShards gives it: size + content
-    // hash against the manifest before a byte is parsed. This also rules
-    // out nesting/recursion — a manifest cannot record a valid hash of a
-    // file containing that hash, and the magic check below rejects any
-    // manifest-typed bytes outright.
-    auto bytes =
-        ReadFileBytes(ResolveManifestFile(path, manifest->common.file));
-    if (!bytes.ok()) {
-      return util::NotFoundError("manifest names missing shard file " +
-                                 manifest->common.file + ": " +
-                                 bytes.status().message());
-    }
-    if (bytes->size() != manifest->common.bytes ||
-        util::StableHash64(*bytes) != manifest->common.hash) {
-      return util::InvalidArgumentError(
-          "shard file " + manifest->common.file +
-          " does not match its manifest entry (corrupted or replaced)");
-    }
-    if (bytes->size() >= 8 &&
-        std::memcmp(bytes->data(), kShardManifestMagic, 8) == 0) {
-      return util::InvalidArgumentError(
-          "manifest common entry " + manifest->common.file +
-          " is itself a shard manifest (manifests cannot nest)");
-    }
-    return ParseSnapshotDeltaLog(*bytes);
+    auto common = MapManifestEntry(path, manifest->common);
+    if (!common.ok()) return common.status();
+    return DeltaLogOf(**common);
   }
-  auto bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseSnapshotDeltaLog(*bytes);
+  auto arena = MapSnapshotFile(path);
+  if (!arena.ok()) return arena.status();
+  return DeltaLogOf(**arena);
 }
-
-namespace {
-
-util::StatusOr<std::vector<dynamic::EdgeDelta>> ParseSnapshotDeltaLog(
-    std::string_view bytes) {
-  if (bytes.size() >= 8 &&
-      std::memcmp(bytes.data(), util::kArenaMagic, 8) == 0) {
-    auto arena = util::MappedArena::FromBytes(bytes);
-    if (!arena.ok()) return arena.status();
-    std::vector<dynamic::EdgeDelta> log;
-    for (const util::MappedArena::Section* s :
-         (*arena)->FindSections(SectionId(SnapshotSection::kDeltaLog))) {
-      auto parsed = ParseDeltaLogPayload((*arena)->SectionBytes(*s));
-      if (!parsed.ok()) return parsed.status();
-      for (const dynamic::EdgeDelta& d : *parsed) log.push_back(d);
-    }
-    return log;
-  }
-  Reader reader(bytes);
-  auto info = ReadHeader(reader);
-  if (!info.ok()) return info.status();
-  auto section_count = reader.ReadU32();
-  if (!section_count.ok()) return section_count.status();
-  std::vector<dynamic::EdgeDelta> log;
-  for (uint32_t s = 0; s < *section_count; ++s) {
-    auto id = reader.ReadU32();
-    if (!id.ok()) return id.status();
-    auto length = reader.ReadU64();
-    if (!length.ok()) return length.status();
-    auto payload = reader.ReadRaw(static_cast<size_t>(*length));
-    if (!payload.ok()) return payload.status();
-    if (static_cast<SnapshotSection>(*id) != SnapshotSection::kDeltaLog) {
-      continue;
-    }
-    auto parsed = ParseDeltaLogPayload(*payload);
-    if (!parsed.ok()) return parsed.status();
-    for (const dynamic::EdgeDelta& d : *parsed) log.push_back(d);
-  }
-  return log;
-}
-
-}  // namespace
 
 util::Status EstimationContext::SaveSnapshot(const std::string& path,
-                                             SnapshotFormat format) const {
+                                             SnapshotFormat) const {
   // Collect stable pointers to everything built so far. Lazy fills only
-  // ever *set* these unique_ptrs, and each Export takes its own cache
+  // ever *set* these unique_ptrs, and each export takes its own cache
   // lock, so serialization can proceed outside the context mutex
   // (concurrent fills land either before or after the export — both are
   // consistent snapshots). Mutations that *replace* the structures
@@ -961,36 +753,17 @@ util::Status EstimationContext::SaveSnapshot(const std::string& path,
     refs.dispersion = dispersion_.get();
     refs.feedback = feedback_;
   }
-
-  if (format == SnapshotFormat::kArena) {
-    return WriteFileBytes(
-        path, EncodeArenaSnapshotFile(
-                  refs, 0, 0, /*include_keyed=*/true,
-                  /*include_summaries=*/true, base_fingerprint_,
-                  OptionsOf(options_), delta_hash_, epoch_,
-                  g_->fingerprint(), replay_log_, log_trimmed_,
-                  /*include_delta_log=*/true));
-  }
-
-  SectionList sections = BuildKeyedSections(refs, 0, 0);
-  for (auto& section : BuildSummarySections(refs)) {
-    sections.push_back(std::move(section));
-  }
-  for (auto& section :
-       BuildDynamicSections(epoch_, delta_hash_, g_->fingerprint(),
-                            replay_log_, log_trimmed_,
-                            /*include_delta_log=*/true)) {
-    sections.push_back(std::move(section));
-  }
   return WriteFileBytes(
-      path, EncodeSnapshotFile(
-                epoch_ > 0 ? kSnapshotVersion : kSnapshotVersionStatic,
-                base_fingerprint_, OptionsOf(options_), sections));
+      path, EncodeArenaSnapshotFile(
+                refs, 0, 0, /*include_keyed=*/true,
+                /*include_summaries=*/true, base_fingerprint_,
+                OptionsOf(options_), delta_hash_, epoch_, g_->fingerprint(),
+                replay_log_, log_trimmed_, /*include_delta_log=*/true));
 }
 
 util::Status EstimationContext::SaveSnapshotShards(
     const std::string& manifest_path, uint32_t num_shards,
-    SnapshotFormat format) const {
+    SnapshotFormat) const {
   if (num_shards < 1 || num_shards > kMaxSnapshotShards) {
     return util::InvalidArgumentError(
         "shard count must be in 1.." + std::to_string(kMaxSnapshotShards) +
@@ -1010,44 +783,20 @@ util::Status EstimationContext::SaveSnapshotShards(
     refs.dispersion = dispersion_.get();
     refs.feedback = feedback_;
   }
-  const bool arena = format == SnapshotFormat::kArena;
-  const uint32_t version =
-      arena ? kSnapshotVersionArena
-            : (epoch_ > 0 ? kSnapshotVersion : kSnapshotVersionStatic);
   const SnapshotOptions options = OptionsOf(options_);
   const std::string base_name =
       std::filesystem::path(manifest_path).filename().string();
 
-  // Every file carries the dynamic-state stamp (so each can be judged
-  // fresh/stale on its own; arena files fold it into kArenaMeta); only the
-  // common file embeds the replay log.
-  const SectionList dynamic_stamp =
-      arena ? SectionList{}
-            : BuildDynamicSections(epoch_, delta_hash_, g_->fingerprint(),
-                                   replay_log_, log_trimmed_,
-                                   /*include_delta_log=*/false);
-
-  // Common file: the whole-graph summaries + dynamic state + delta log.
+  // Every file carries the dynamic-state stamp in its kArenaMeta section,
+  // so each can be judged fresh/stale on its own. The common file holds
+  // the whole-graph summaries and is the only one embedding the replay log.
   ShardFileInfo common;
   common.file = base_name + ".common";
   {
-    std::string bytes;
-    if (arena) {
-      bytes = EncodeArenaSnapshotFile(
-          refs, 0, 0, /*include_keyed=*/false, /*include_summaries=*/true,
-          base_fingerprint_, options, delta_hash_, epoch_, g_->fingerprint(),
-          replay_log_, log_trimmed_, /*include_delta_log=*/true);
-    } else {
-      SectionList sections = BuildSummarySections(refs);
-      for (auto& section :
-           BuildDynamicSections(epoch_, delta_hash_, g_->fingerprint(),
-                                replay_log_, log_trimmed_,
-                                /*include_delta_log=*/true)) {
-        sections.push_back(std::move(section));
-      }
-      bytes = EncodeSnapshotFile(version, base_fingerprint_, options,
-                                 sections);
-    }
+    const std::string bytes = EncodeArenaSnapshotFile(
+        refs, 0, 0, /*include_keyed=*/false, /*include_summaries=*/true,
+        base_fingerprint_, options, delta_hash_, epoch_, g_->fingerprint(),
+        replay_log_, log_trimmed_, /*include_delta_log=*/true);
     common.bytes = bytes.size();
     common.hash = util::StableHash64(bytes);
     CEGRAPH_RETURN_IF_ERROR(WriteFileBytes(
@@ -1059,26 +808,18 @@ util::Status EstimationContext::SaveSnapshotShards(
   // entries) hashing overall, accepted for this offline tool path (the
   // caches hold thousands of entries and FNV over short keys is
   // nanoseconds; single-pass routing into S writers would complicate the
-  // ExportEntries surface for no observable gain at current scales).
+  // export surface for no observable gain at current scales).
   std::vector<ShardFileInfo> shards;
   shards.reserve(num_shards);
   for (uint32_t k = 0; k < num_shards; ++k) {
     ShardFileInfo shard;
     shard.shard = k;
     shard.file = base_name + ".shard" + std::to_string(k);
-    std::string bytes;
-    if (arena) {
-      bytes = EncodeArenaSnapshotFile(
-          refs, k, num_shards, /*include_keyed=*/true,
-          /*include_summaries=*/false, base_fingerprint_, options,
-          delta_hash_, epoch_, g_->fingerprint(), replay_log_, log_trimmed_,
-          /*include_delta_log=*/false);
-    } else {
-      SectionList sections = BuildKeyedSections(refs, k, num_shards);
-      for (const auto& section : dynamic_stamp) sections.push_back(section);
-      bytes = EncodeSnapshotFile(version, base_fingerprint_, options,
-                                 sections);
-    }
+    const std::string bytes = EncodeArenaSnapshotFile(
+        refs, k, num_shards, /*include_keyed=*/true,
+        /*include_summaries=*/false, base_fingerprint_, options, delta_hash_,
+        epoch_, g_->fingerprint(), replay_log_, log_trimmed_,
+        /*include_delta_log=*/false);
     shard.bytes = bytes.size();
     shard.hash = util::StableHash64(bytes);
     CEGRAPH_RETURN_IF_ERROR(WriteFileBytes(
@@ -1091,7 +832,7 @@ util::Status EstimationContext::SaveSnapshotShards(
   writer.WriteU32(kShardManifestVersion);
   WriteFingerprint(writer, base_fingerprint_);
   WriteOptions(writer, options);
-  writer.WriteU32(version);
+  writer.WriteU32(kSnapshotVersionArena);
   writer.WriteU32(num_shards);
   writer.WriteString(common.file);
   writer.WriteU64(common.bytes);
@@ -1113,31 +854,8 @@ util::Status EstimationContext::LoadSnapshot(const std::string& path,
   // loads the union of all shards (fleet processes that want a subset call
   // LoadSnapshotShards with an explicit shard list).
   if (IsShardManifest(path)) return LoadSnapshotShards(path, {}, report);
-  // Arena (version 3) files route through the zero-copy mmap path, so
-  // existing call sites get mapped loads transparently.
-  if (IsArenaSnapshot(path)) return LoadSnapshotMapped(path, report);
-  const auto t_read = std::chrono::steady_clock::now();
-  auto bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  const double read_millis = MillisSince(t_read);
-  const auto t_parse = std::chrono::steady_clock::now();
-  CEGRAPH_RETURN_IF_ERROR(LoadSnapshotBytes(*bytes, report));
-  if (report != nullptr) {
-    report->map_millis = read_millis;
-    report->parse_millis = MillisSince(t_parse);
-  }
-  return util::Status::OK();
-}
-
-util::Status EstimationContext::LoadSnapshotMapped(const std::string& path,
-                                                   SnapshotLoadReport* report)
-    const {
-  if (IsShardManifest(path)) return LoadSnapshotShards(path, {}, report);
-  // v1/v2 files fall back to the parse path (LoadSnapshot will not route
-  // them back here — the arena sniff fails for them).
-  if (!IsArenaSnapshot(path)) return LoadSnapshot(path, report);
   const auto t_map = std::chrono::steady_clock::now();
-  auto arena = util::MappedArena::MapFile(path);
+  auto arena = MapSnapshotFile(path);
   if (!arena.ok()) return arena.status();
   const double map_millis = MillisSince(t_map);
   const auto t_apply = std::chrono::steady_clock::now();
@@ -1145,267 +863,6 @@ util::Status EstimationContext::LoadSnapshotMapped(const std::string& path,
   if (report != nullptr) {
     report->map_millis = map_millis;
     report->parse_millis = MillisSince(t_apply);
-  }
-  return util::Status::OK();
-}
-
-util::Status EstimationContext::LoadSnapshotBytes(
-    std::string_view bytes, SnapshotLoadReport* report, bool validate_only,
-    bool scrub_stale) const {
-  Reader reader(bytes);
-  auto info = ReadHeader(reader);
-  if (!info.ok()) return info.status();
-  // Reject statistics computed under different construction knobs: they
-  // would merge cleanly but answer wrongly (e.g. over-cap verdicts from a
-  // smaller materialize cap, rates from a different sampling setup, a
-  // summary with a different bucket target). markov_h is exempt — Markov
-  // sections carry their own h and their entries are exact counts.
-  CEGRAPH_RETURN_IF_ERROR(CheckSnapshotOptions(info->options, options_));
-
-  auto section_count = reader.ReadU32();
-  if (!section_count.ok()) return section_count.status();
-  std::vector<std::pair<uint32_t, std::string>> sections;
-  sections.reserve(*section_count);
-  for (uint32_t s = 0; s < *section_count; ++s) {
-    auto id = reader.ReadU32();
-    if (!id.ok()) return id.status();
-    auto length = reader.ReadU64();
-    if (!length.ok()) return length.status();
-    auto payload = reader.ReadRaw(static_cast<size_t>(*length));
-    if (!payload.ok()) return payload.status();
-    sections.emplace_back(*id, std::move(*payload));
-  }
-  if (!reader.AtEnd()) {
-    return util::InvalidArgumentError("trailing bytes after last section");
-  }
-
-  // The snapshot's point in the delta log — (delta hash, epoch) plus the
-  // fingerprint of the graph its statistics actually describe. Static
-  // (version 1 / epoch 0) files describe the base graph itself.
-  uint64_t snap_delta_hash = 0;
-  uint64_t snap_epoch = 0;
-  graph::GraphFingerprint snap_current = info->fingerprint;
-  bool has_delta_log = false;
-  for (const auto& [id, payload] : sections) {
-    if (static_cast<SnapshotSection>(id) == SnapshotSection::kDeltaLog) {
-      has_delta_log = true;
-    }
-    if (static_cast<SnapshotSection>(id) != SnapshotSection::kDynamicState) {
-      continue;
-    }
-    Reader sub(payload);
-    auto delta_hash = sub.ReadU64();
-    if (!delta_hash.ok()) return delta_hash.status();
-    auto epoch = sub.ReadU64();
-    if (!epoch.ok()) return epoch.status();
-    auto current = ReadFingerprint(sub);
-    if (!current.ok()) return current.status();
-    snap_delta_hash = *delta_hash;
-    snap_epoch = *epoch;
-    snap_current = *current;
-  }
-
-  // Freshness is judged by content first: statistics are a pure function
-  // of (graph, options), so a snapshot whose described graph matches this
-  // context's *current* graph merges fully, whatever lineage produced
-  // either. Failing that, a snapshot taken at an earlier epoch of this
-  // context's own delta log is stale-but-usable: keyed sections merge and
-  // the missing deltas replay as targeted eviction + exact refresh.
-  // Anything else is a mismatch that needs a rebuild — or, when the file
-  // embeds its delta log, a reconstruction (replay the log onto the base
-  // graph via ReadSnapshotDeltaLog + ApplyDeltas, then load fresh).
-  // The snapshot's epoch must still be in the (possibly trimmed) history
-  // window: MarkAt returns null both for epochs newer than this context
-  // and for epochs whose replay suffix TrimReplayLog has discarded.
-  const bool fresh = snap_current == g_->fingerprint();
-  const EpochMark* mark = MarkAt(snap_epoch);
-  if (!fresh && (!(info->fingerprint == base_fingerprint_) ||
-                 mark == nullptr || mark->delta_hash != snap_delta_hash)) {
-    return FingerprintMismatchError(snap_current, info->fingerprint,
-                                    snap_epoch, g_->fingerprint(),
-                                    base_fingerprint_, epoch_, has_delta_log);
-  }
-  const bool stale = !fresh;
-  if (report != nullptr) {
-    report->stale = stale;
-    report->snapshot_epoch = snap_epoch;
-    report->replayed_deltas =
-        stale ? replay_log_.size() - (mark->log_size - log_trimmed_) : 0;
-    report->evicted_entries = 0;
-    report->mapped = false;
-    report->mapped_bytes = 0;
-  }
-
-  // Two-phase apply: the staging pass parses and validates every section
-  // into throwaway structures, so a snapshot that is corrupted mid-file
-  // never leaves partially imported entries in the live caches — a failed
-  // load keeps the context exactly as it was. Parsing is deterministic, so
-  // the live pass cannot fail where the staging pass succeeded.
-  struct Staging {
-    std::unique_ptr<stats::MarkovTable> markov;
-    stats::CycleClosingRates rates;
-    stats::StatsCatalog catalog;
-    stats::DispersionCatalog dispersion;
-    explicit Staging(const graph::Graph& g)
-        : rates(g), catalog(g), dispersion(g) {}
-  };
-  Staging staging(*g_);
-  for (const bool dry_run : {true, false}) {
-    // Parsing is deterministic, so a validate-only pass that succeeds
-    // guarantees the later apply pass cannot fail on the same bytes.
-    if (!dry_run && validate_only) break;
-    for (const auto& [id, payload] : sections) {
-      // Stale loads skip the whole-graph summaries: they describe the
-      // snapshot's epoch wholesale and have no per-key invalidation — the
-      // live context rebuilds them lazily from the current graph instead.
-      const auto section = static_cast<SnapshotSection>(id);
-      if (stale && (section == SnapshotSection::kCharSets ||
-                    section == SnapshotSection::kSummaryGraph)) {
-        continue;
-      }
-      Reader sub(payload);
-      switch (section) {
-        case SnapshotSection::kMarkov: {
-          auto h = sub.ReadU32();
-          if (!h.ok()) return h.status();
-          if (*h < 1 || *h > 16) {
-            return util::InvalidArgumentError(
-                "implausible Markov table size " + std::to_string(*h));
-          }
-          if (dry_run) {
-            staging.markov = std::make_unique<stats::MarkovTable>(
-                *g_, static_cast<int>(*h));
-            CEGRAPH_RETURN_IF_ERROR(staging.markov->ImportEntries(sub));
-          } else {
-            auto table = TryMarkov(static_cast<int>(*h));
-            if (!table.ok()) return table.status();
-            CEGRAPH_RETURN_IF_ERROR((*table)->ImportEntries(sub));
-          }
-          break;
-        }
-        case SnapshotSection::kClosingRates:
-          CEGRAPH_RETURN_IF_ERROR(
-              (dry_run ? staging.rates : cycle_closing_rates())
-                  .ImportEntries(sub));
-          break;
-        case SnapshotSection::kDegreeCatalog:
-          CEGRAPH_RETURN_IF_ERROR(
-              (dry_run ? staging.catalog : stats_catalog())
-                  .ImportEntries(sub));
-          break;
-        case SnapshotSection::kCharSets: {
-          auto loaded = stats::CharacteristicSets::Load(sub);
-          if (!loaded.ok()) return loaded.status();
-          if (loaded->num_graph_vertices() != g_->num_vertices()) {
-            return util::InvalidArgumentError(
-                "characteristic-set summary built over a different vertex "
-                "count");
-          }
-          if (!dry_run) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            // Adopt only if not yet built: estimators may already hold a
-            // reference to an eagerly built summary, and the loaded one
-            // is identical by construction determinism anyway.
-            if (char_sets_ == nullptr) {
-              char_sets_ = std::make_unique<stats::CharacteristicSets>(
-                  std::move(*loaded));
-            }
-          }
-          break;
-        }
-        case SnapshotSection::kSummaryGraph: {
-          auto loaded = stats::SummaryGraph::Load(sub);
-          if (!loaded.ok()) return loaded.status();
-          // The SumRDF estimator indexes superedge tables by data-graph
-          // label, so a summary whose label space does not match the
-          // context graph would be undefined behavior, not just wrong.
-          if (loaded->num_labels() != g_->num_labels()) {
-            return util::InvalidArgumentError(
-                "summary graph built over a different label count");
-          }
-          if (!dry_run) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (summary_ == nullptr) {
-              // Supersedes any summary still pending from an earlier
-              // mapped load.
-              pending_summary_ = {};
-              pending_summary_owner_.reset();
-              summary_ = std::make_unique<stats::SummaryGraph>(
-                  std::move(*loaded));
-            }
-          }
-          break;
-        }
-        case SnapshotSection::kDispersion:
-          CEGRAPH_RETURN_IF_ERROR(
-              (dry_run ? staging.dispersion : dispersion_catalog())
-                  .ImportEntries(sub));
-          break;
-        case SnapshotSection::kDynamicState:
-          continue;  // already parsed above
-        case SnapshotSection::kFeedback: {
-          // Deserialize carries its own drift guard: a payload stamped
-          // for a different base graph is a clean discard, not an error.
-          // The dry run parses into a throwaway store so a corrupt
-          // payload cannot leave a partial import in the live one.
-          if (dry_run) {
-            learn::FeedbackStore probe;
-            CEGRAPH_RETURN_IF_ERROR(
-                probe.Deserialize(payload, feedback_stamp()));
-          } else {
-            CEGRAPH_RETURN_IF_ERROR(
-                feedback_store_ptr()->Deserialize(payload, feedback_stamp()));
-          }
-          continue;  // Deserialize consumes the payload itself
-        }
-        default:
-          continue;  // unknown section: written by a newer build, skip
-      }
-      if (!sub.AtEnd()) {
-        return util::InvalidArgumentError(
-            std::string("section ") + SnapshotSectionName(id) +
-            " has trailing bytes (corrupted snapshot)");
-      }
-    }
-  }
-
-  if (stale && !validate_only && scrub_stale) {
-    // Replay the delta-log suffix the snapshot has not seen: the merged
-    // entries were computed at the snapshot's epoch, so every entry whose
-    // labels the missing deltas touched is evicted (and the cheap exact
-    // entries refreshed from the current graph). Entries the live context
-    // had already computed for the current epoch can only be over-evicted
-    // by this — they lazily recompute to the same values.
-    const std::vector<bool> changed = dynamic::ChangedLabelBitmap(
-        g_->num_labels(),
-        std::span<const dynamic::EdgeDelta>(replay_log_)
-            .subspan(mark->log_size - log_trimmed_));
-    size_t evicted = 0;
-    std::vector<const stats::MarkovTable*> tables;
-    const stats::CycleClosingRates* rates = nullptr;
-    const stats::StatsCatalog* catalog = nullptr;
-    const stats::DispersionCatalog* dispersion = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (const auto& [h, table] : markov_) tables.push_back(table.get());
-      rates = rates_.get();
-      catalog = catalog_.get();
-      dispersion = dispersion_.get();
-    }
-    for (const stats::MarkovTable* table : tables) {
-      evicted += dynamic::StatsMaintainer::ScrubMarkov(*table, changed);
-    }
-    if (rates != nullptr) {
-      evicted += dynamic::StatsMaintainer::ScrubClosingRates(*rates, changed);
-    }
-    if (catalog != nullptr) {
-      evicted += dynamic::StatsMaintainer::ScrubCatalog(*catalog, changed);
-    }
-    if (dispersion != nullptr) {
-      evicted +=
-          dynamic::StatsMaintainer::ScrubDispersion(*dispersion, changed);
-    }
-    if (report != nullptr) report->evicted_entries = evicted;
   }
   return util::Status::OK();
 }
@@ -1423,8 +880,18 @@ util::Status EstimationContext::LoadSnapshotArena(
   if (!meta.ok()) return meta.status();
   CEGRAPH_RETURN_IF_ERROR(CheckSnapshotOptions(meta->options, options_));
 
-  // Same freshness judgment as the v2 path: content first (described graph
-  // == current graph), else stale-but-replayable via the epoch history.
+  // Freshness is judged by content first: statistics are a pure function
+  // of (graph, options), so a snapshot whose described graph matches this
+  // context's *current* graph attaches fully, whatever lineage produced
+  // either. Failing that, a snapshot taken at an earlier epoch of this
+  // context's own delta log is stale-but-usable: keyed sections merge and
+  // the missing deltas replay as targeted eviction + exact refresh.
+  // Anything else is a mismatch that needs a rebuild — or, when the file
+  // embeds its delta log, a reconstruction (replay the log onto the base
+  // graph via ReadSnapshotDeltaLog + ApplyDeltas, then load fresh). The
+  // snapshot's epoch must still be in the (possibly trimmed) history
+  // window: MarkAt returns null both for epochs newer than this context
+  // and for epochs whose replay suffix TrimReplayLog has discarded.
   const bool has_delta_log =
       arena->FindSection(SectionId(SnapshotSection::kDeltaLog)) != nullptr;
   const bool fresh = meta->current_fingerprint == g_->fingerprint();
@@ -1504,10 +971,11 @@ util::Status EstimationContext::LoadSnapshotArena(
         break;
       }
       case SnapshotSection::kCharSets: {
-        // Stale loads skip the whole-graph summaries, exactly like v2:
-        // they describe the snapshot's epoch wholesale and rebuild lazily.
+        // Stale loads skip the whole-graph summaries: they describe the
+        // snapshot's epoch wholesale and have no per-key invalidation, so
+        // the live context rebuilds them lazily from the current graph.
         if (stale) break;
-        auto cs = stats::CharacteristicSets::AttachMapped(payload, arena);
+        auto cs = stats::CharacteristicSets::Attach(payload, arena);
         if (!cs.ok()) return cs.status();
         if (cs->num_graph_vertices() != g_->num_vertices()) {
           return util::InvalidArgumentError(
@@ -1578,20 +1046,22 @@ util::Status EstimationContext::LoadSnapshotArena(
     for (const auto& [h, index] : att.markov) {
       staging.markov =
           std::make_unique<stats::MarkovTable>(*g_, static_cast<int>(h));
-      CEGRAPH_RETURN_IF_ERROR(staging.markov->MaterializeFromIndex(index));
+      CEGRAPH_RETURN_IF_ERROR(staging.markov->cache().Materialize(index));
     }
     if (att.rates.has_value()) {
-      CEGRAPH_RETURN_IF_ERROR(staging.rates.MaterializeFromIndex(*att.rates));
+      CEGRAPH_RETURN_IF_ERROR(staging.rates.cache().Materialize(*att.rates));
     }
     if (att.bases.has_value()) {
-      CEGRAPH_RETURN_IF_ERROR(staging.catalog.MaterializeFromBases(*att.bases));
+      CEGRAPH_RETURN_IF_ERROR(
+          staging.catalog.base_cache().Materialize(*att.bases));
     }
     if (att.joins.has_value()) {
-      CEGRAPH_RETURN_IF_ERROR(staging.catalog.MaterializeFromJoins(*att.joins));
+      CEGRAPH_RETURN_IF_ERROR(
+          staging.catalog.join_cache().Materialize(*att.joins));
     }
     if (att.dispersion.has_value()) {
       CEGRAPH_RETURN_IF_ERROR(
-          staging.dispersion.MaterializeFromIndex(*att.dispersion));
+          staging.dispersion.cache().Materialize(*att.dispersion));
     }
   }
   if (validate_only) return util::Status::OK();
@@ -1611,29 +1081,28 @@ util::Status EstimationContext::LoadSnapshotArena(
     for (auto& [h, index] : att.markov) {
       auto table = TryMarkov(static_cast<int>(h));
       if (!table.ok()) return table.status();
-      (*table)->AttachMappedIndex(std::move(index), arena);
+      (*table)->cache().Attach(std::move(index), arena);
     }
     if (att.rates.has_value()) {
-      cycle_closing_rates().AttachMappedIndex(std::move(*att.rates), arena);
+      cycle_closing_rates().cache().Attach(std::move(*att.rates), arena);
     }
     if (att.bases.has_value() || att.joins.has_value()) {
       const stats::StatsCatalog& catalog = stats_catalog();
       if (att.bases.has_value()) {
-        catalog.AttachMappedBases(std::move(*att.bases), arena);
+        catalog.base_cache().Attach(std::move(*att.bases), arena);
       }
       if (att.joins.has_value()) {
-        catalog.AttachMappedJoins(std::move(*att.joins), arena);
+        catalog.join_cache().Attach(std::move(*att.joins), arena);
       }
     }
     if (att.dispersion.has_value()) {
-      dispersion_catalog().AttachMappedIndex(std::move(*att.dispersion),
-                                             arena);
+      dispersion_catalog().cache().Attach(std::move(*att.dispersion), arena);
     }
     if (att.char_sets.has_value()) {
       std::lock_guard<std::mutex> lock(mutex_);
-      // Adopt only if not yet built, same rule as the v2 path: estimators
-      // may already hold a reference to an eagerly built summary, and the
-      // mapped one is identical by construction determinism anyway.
+      // Adopt only if not yet built: estimators may already hold a
+      // reference to an eagerly built summary, and the mapped one is
+      // identical by construction determinism anyway.
       if (char_sets_ == nullptr) {
         char_sets_ = std::make_unique<stats::CharacteristicSets>(
             std::move(*att.char_sets));
@@ -1651,32 +1120,37 @@ util::Status EstimationContext::LoadSnapshotArena(
   }
 
   // Stale: materialize every index into the live memo caches (the dry
-  // walk above guarantees this cannot fail), then run the same
-  // delta-replay scrub as the v2 path.
+  // walk above guarantees this cannot fail), then replay the delta-log
+  // suffix the snapshot has not seen.
   for (const auto& [h, index] : att.markov) {
     auto table = TryMarkov(static_cast<int>(h));
     if (!table.ok()) return table.status();
-    CEGRAPH_RETURN_IF_ERROR((*table)->MaterializeFromIndex(index));
+    CEGRAPH_RETURN_IF_ERROR((*table)->cache().Materialize(index));
   }
   if (att.rates.has_value()) {
     CEGRAPH_RETURN_IF_ERROR(
-        cycle_closing_rates().MaterializeFromIndex(*att.rates));
+        cycle_closing_rates().cache().Materialize(*att.rates));
   }
   if (att.bases.has_value() || att.joins.has_value()) {
     const stats::StatsCatalog& catalog = stats_catalog();
     if (att.bases.has_value()) {
-      CEGRAPH_RETURN_IF_ERROR(catalog.MaterializeFromBases(*att.bases));
+      CEGRAPH_RETURN_IF_ERROR(catalog.base_cache().Materialize(*att.bases));
     }
     if (att.joins.has_value()) {
-      CEGRAPH_RETURN_IF_ERROR(catalog.MaterializeFromJoins(*att.joins));
+      CEGRAPH_RETURN_IF_ERROR(catalog.join_cache().Materialize(*att.joins));
     }
   }
   if (att.dispersion.has_value()) {
     CEGRAPH_RETURN_IF_ERROR(
-        dispersion_catalog().MaterializeFromIndex(*att.dispersion));
+        dispersion_catalog().cache().Materialize(*att.dispersion));
   }
 
   if (scrub_stale) {
+    // The merged entries were computed at the snapshot's epoch, so every
+    // entry whose labels the missing deltas touched is evicted (and the
+    // cheap exact entries refreshed from the current graph). Entries the
+    // live context had already computed for the current epoch can only be
+    // over-evicted by this — they lazily recompute to the same values.
     const std::vector<bool> changed = dynamic::ChangedLabelBitmap(
         g_->num_labels(),
         std::span<const dynamic::EdgeDelta>(replay_log_)
@@ -1745,62 +1219,15 @@ util::Status EstimationContext::LoadSnapshotShards(
   // and match the manifest's size/content hash, so a corrupt or swapped
   // shard is a clean error and a failed load leaves the context untouched
   // (the per-file loads below each keep their own two-phase guarantee).
-  // The format of each file is sniffed from its magic, so one manifest
-  // can mix arena and v2 files (e.g. shards rewritten one at a time
-  // during a format migration). Arena files are mapped, with the hash
-  // verified over the mapped view — no byte copy; v2 bytes are held and
-  // parsed directly — re-reading the file for the load would both double
-  // the I/O and open a window for the bytes on disk to change after
-  // verification.
-  struct ShardImage {
-    std::string bytes;                               // v2 files
-    std::shared_ptr<const util::MappedArena> arena;  // arena files
-  };
   std::vector<const ShardFileInfo*> infos = {&manifest->common};
   for (const uint32_t k : selected) infos.push_back(&manifest->shards[k]);
-  std::vector<ShardImage> images;
+  std::vector<std::shared_ptr<const util::MappedArena>> images;
   images.reserve(infos.size());
   const auto t_open = std::chrono::steady_clock::now();
   for (const ShardFileInfo* info : infos) {
-    const std::string path = ResolveManifestFile(manifest_path, info->file);
-    ShardImage image;
-    std::string_view view;
-    if (IsArenaSnapshot(path)) {
-      auto arena = util::MappedArena::MapFile(path);
-      if (!arena.ok()) {
-        return util::InvalidArgumentError("manifest shard file " +
-                                          info->file + ": " +
-                                          arena.status().message());
-      }
-      image.arena = std::move(*arena);
-      view = image.arena->bytes();
-    } else {
-      auto bytes = ReadFileBytes(path);
-      if (!bytes.ok()) {
-        return util::NotFoundError("manifest names missing shard file " +
-                                   info->file + ": " +
-                                   bytes.status().message());
-      }
-      image.bytes = std::move(*bytes);
-      view = image.bytes;
-    }
-    if (view.size() != info->bytes ||
-        util::StableHash64(view) != info->hash) {
-      return util::InvalidArgumentError(
-          "shard file " + info->file +
-          " does not match its manifest entry (corrupted or replaced; "
-          "expected " + std::to_string(info->bytes) + " bytes, got " +
-          std::to_string(view.size()) + ")");
-    }
-    // A shard entry must be a snapshot, never another manifest — this is
-    // what keeps manifest resolution strictly one level deep.
-    if (view.size() >= 8 &&
-        std::memcmp(view.data(), kShardManifestMagic, 8) == 0) {
-      return util::InvalidArgumentError(
-          "manifest entry " + info->file +
-          " is itself a shard manifest (manifests cannot nest)");
-    }
-    images.push_back(std::move(image));
+    auto image = MapManifestEntry(manifest_path, *info);
+    if (!image.ok()) return image.status();
+    images.push_back(std::move(*image));
   }
 
   // Validate every image before applying any: the manifest hash is
@@ -1809,14 +1236,9 @@ util::Status EstimationContext::LoadSnapshotShards(
   // than after earlier files already landed in the live caches. Parsing
   // is deterministic, so the apply pass below cannot fail where this
   // pass succeeded, which is what makes the multi-file load atomic.
-  for (const ShardImage& image : images) {
-    if (image.arena != nullptr) {
-      CEGRAPH_RETURN_IF_ERROR(
-          LoadSnapshotArena(image.arena, nullptr, /*validate_only=*/true));
-    } else {
-      CEGRAPH_RETURN_IF_ERROR(
-          LoadSnapshotBytes(image.bytes, nullptr, /*validate_only=*/true));
-    }
+  for (const auto& image : images) {
+    CEGRAPH_RETURN_IF_ERROR(
+        LoadSnapshotArena(image, nullptr, /*validate_only=*/true));
   }
   const double map_millis = MillisSince(t_open);
 
@@ -1830,14 +1252,9 @@ util::Status EstimationContext::LoadSnapshotShards(
   for (size_t i = 0; i < images.size(); ++i) {
     SnapshotLoadReport file_report;
     const bool last = i + 1 == images.size();
-    util::Status loaded =
-        images[i].arena != nullptr
-            ? LoadSnapshotArena(images[i].arena, &file_report,
-                                /*validate_only=*/false, /*scrub_stale=*/last)
-            : LoadSnapshotBytes(images[i].bytes, &file_report,
-                                /*validate_only=*/false,
-                                /*scrub_stale=*/last);
-    if (!loaded.ok()) return loaded;
+    CEGRAPH_RETURN_IF_ERROR(LoadSnapshotArena(images[i], &file_report,
+                                              /*validate_only=*/false,
+                                              /*scrub_stale=*/last));
     if (i == 0) {
       merged = file_report;
     } else {

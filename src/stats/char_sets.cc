@@ -1,7 +1,11 @@
 #include "stats/char_sets.h"
 
 #include <cmath>
+#include <map>
 #include <utility>
+
+#include "util/arena.h"
+#include "util/serde.h"
 
 namespace cegraph::stats {
 
@@ -14,151 +18,72 @@ constexpr size_t kCsEdgeStride = 16;
 
 }  // namespace
 
-CharacteristicSets::CharacteristicSets(const graph::Graph& g)
-    : num_vertices_(g.num_vertices()) {
-  std::map<std::set<graph::Label>, Group> by_set;
+CharacteristicSets::CharacteristicSets(const graph::Graph& g) {
+  // Group vertices by their out-label set. Labels are visited in ascending
+  // order, so each set comes out sorted, and the map orders the groups by
+  // set, lexicographically.
+  struct Group {
+    uint64_t vertex_count = 0;
+    std::vector<uint64_t> label_edges;  ///< 1:1 with the set's labels
+  };
+  std::map<std::vector<graph::Label>, Group> by_set;
+  std::vector<graph::Label> labels;
+  std::vector<uint64_t> degrees;
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    std::set<graph::Label> cs;
+    labels.clear();
+    degrees.clear();
     for (graph::Label l = 0; l < g.num_labels(); ++l) {
-      if (g.OutDegree(v, l) > 0) cs.insert(l);
+      if (const uint64_t d = g.OutDegree(v, l); d > 0) {
+        labels.push_back(l);
+        degrees.push_back(d);
+      }
     }
-    if (cs.empty()) continue;
-    Group& group = by_set[cs];
-    group.char_set = cs;
+    if (labels.empty()) continue;
+    Group& group = by_set[labels];
+    group.label_edges.resize(labels.size());
     ++group.vertex_count;
-    for (graph::Label l : cs) {
-      group.label_edges[l] += g.OutDegree(v, l);
+    for (size_t i = 0; i < labels.size(); ++i) {
+      group.label_edges[i] += degrees[i];
     }
   }
-  for (auto& [cs, group] : by_set) groups_.push_back(std::move(group));
-}
 
-void CharacteristicSets::Save(util::serde::Writer& writer) const {
-  writer.WriteU32(num_vertices_);
-  if (mapped()) {
-    // Transcribe the mapped layout into the v2 shape. Group order and
-    // per-group label order are preserved, so a save-load round trip stays
-    // bit-identical to saving the owned original. Malformed group data
-    // (deferred scan failed) degrades to an empty summary.
-    if (!MappedGroupsValid()) {
-      writer.WriteU64(0);
-      return;
-    }
-    writer.WriteU64(mapped_num_groups_);
-    const char* base = mapped_.data();
-    for (uint64_t gi = 0; gi < mapped_num_groups_; ++gi) {
-      const char* ge = base + kCsHeaderBytes + gi * kCsGroupStride;
-      const uint64_t vertex_count = util::LoadLittleU64(ge);
-      const uint64_t set_start = util::LoadLittleU64(ge + 8);
-      const uint64_t set_count = util::LoadLittleU64(ge + 16);
-      const uint64_t edges_start = util::LoadLittleU64(ge + 24);
-      writer.WriteU64(set_count);
-      for (uint64_t i = 0; i < set_count; ++i) {
-        writer.WriteU32(util::LoadLittleU32(base + mapped_labels_off_ +
-                                            (set_start + i) * 4));
-      }
-      writer.WriteU64(vertex_count);
-      writer.WriteU64(set_count);  // edges mirror the char set 1:1
-      for (uint64_t i = 0; i < set_count; ++i) {
-        const char* ee =
-            base + mapped_edges_off_ + (edges_start + i) * kCsEdgeStride;
-        writer.WriteU32(util::LoadLittleU32(ee));
-        writer.WriteU64(util::LoadLittleU64(ee + 8));
-      }
-    }
-    return;
-  }
-  writer.WriteU64(groups_.size());
-  for (const Group& group : groups_) {
-    writer.WriteU64(group.char_set.size());
-    for (graph::Label l : group.char_set) writer.WriteU32(l);
-    writer.WriteU64(group.vertex_count);
-    writer.WriteU64(group.label_edges.size());
-    for (const auto& [l, edges] : group.label_edges) {
-      writer.WriteU32(l);
-      writer.WriteU64(edges);
-    }
-  }
-}
-
-util::StatusOr<CharacteristicSets> CharacteristicSets::Load(
-    util::serde::Reader& reader) {
-  CharacteristicSets cs;
-  auto num_vertices = reader.ReadU32();
-  if (!num_vertices.ok()) return num_vertices.status();
-  cs.num_vertices_ = *num_vertices;
-  auto num_groups = reader.ReadU64();
-  if (!num_groups.ok()) return num_groups.status();
-  for (uint64_t gi = 0; gi < *num_groups; ++gi) {
-    Group group;
-    auto set_size = reader.ReadU64();
-    if (!set_size.ok()) return set_size.status();
-    for (uint64_t i = 0; i < *set_size; ++i) {
-      auto l = reader.ReadU32();
-      if (!l.ok()) return l.status();
-      group.char_set.insert(*l);
-    }
-    auto vertex_count = reader.ReadU64();
-    if (!vertex_count.ok()) return vertex_count.status();
-    group.vertex_count = *vertex_count;
-    auto num_edges = reader.ReadU64();
-    if (!num_edges.ok()) return num_edges.status();
-    for (uint64_t i = 0; i < *num_edges; ++i) {
-      auto l = reader.ReadU32();
-      if (!l.ok()) return l.status();
-      auto edges = reader.ReadU64();
-      if (!edges.ok()) return edges.status();
-      group.label_edges[*l] = *edges;
-    }
-    if (group.vertex_count == 0) {
-      return util::InvalidArgumentError("characteristic-set group with no "
-                                        "vertices");
-    }
-    cs.groups_.push_back(std::move(group));
-  }
-  return cs;
-}
-
-std::string CharacteristicSets::SaveArena() const {
-  if (mapped()) return std::string(mapped_);
-  util::serde::Writer w;
-  w.WriteU64(num_vertices_);
-  w.WriteU64(groups_.size());
   uint64_t labels_count = 0;
-  uint64_t edges_count = 0;
-  for (const Group& group : groups_) {
-    labels_count += group.char_set.size();
-    edges_count += group.label_edges.size();
-  }
+  for (const auto& [set, group] : by_set) labels_count += set.size();
+  util::serde::Writer w;
+  w.WriteU64(g.num_vertices());
+  w.WriteU64(by_set.size());
   w.WriteU64(labels_count);
-  w.WriteU64(edges_count);
-  uint64_t set_start = 0;
-  uint64_t edges_start = 0;
-  for (const Group& group : groups_) {
+  w.WriteU64(labels_count);  // edges mirror the char sets 1:1
+  uint64_t start = 0;
+  for (const auto& [set, group] : by_set) {
     w.WriteU64(group.vertex_count);
-    w.WriteU64(set_start);
-    w.WriteU64(group.char_set.size());
-    w.WriteU64(edges_start);
-    w.WriteU64(group.label_edges.size());
-    set_start += group.char_set.size();
-    edges_start += group.label_edges.size();
+    w.WriteU64(start);
+    w.WriteU64(set.size());
+    w.WriteU64(start);
+    w.WriteU64(set.size());
+    start += set.size();
   }
-  for (const Group& group : groups_) {
-    for (graph::Label l : group.char_set) w.WriteU32(l);
+  for (const auto& [set, group] : by_set) {
+    for (graph::Label l : set) w.WriteU32(l);
   }
   if (labels_count % 2 != 0) w.WriteU32(0);  // pad labels blob to 8
-  for (const Group& group : groups_) {
-    for (const auto& [l, edges] : group.label_edges) {
-      w.WriteU32(l);
+  for (const auto& [set, group] : by_set) {
+    for (size_t i = 0; i < set.size(); ++i) {
+      w.WriteU32(set[i]);
       w.WriteU32(0);  // reserved
-      w.WriteU64(edges);
+      w.WriteU64(group.label_edges[i]);
     }
   }
-  return w.TakeBuffer();
+  auto buffer = std::make_shared<const std::string>(w.TakeBuffer());
+  const std::string_view payload = *buffer;
+  // Well-formed by construction, so no deferred scan (gate_ stays null).
+  if (util::Status adopted = Adopt(payload, std::move(buffer)); !adopted.ok()) {
+    util::internal::StatusOrCrash("CharacteristicSets: " + adopted.ToString());
+  }
 }
 
-util::StatusOr<CharacteristicSets> CharacteristicSets::AttachMapped(
-    std::string_view payload, std::shared_ptr<const void> owner) {
+util::Status CharacteristicSets::Adopt(std::string_view payload,
+                                       std::shared_ptr<const void> owner) {
   auto malformed = [](const char* what) {
     return util::InvalidArgumentError(
         std::string("char-sets arena section: ") + what);
@@ -185,32 +110,37 @@ util::StatusOr<CharacteristicSets> CharacteristicSets::AttachMapped(
       edges_count > (payload.size() - edges_off) / kCsEdgeStride) {
     return malformed("edges blob exceeds payload");
   }
+  num_vertices_ = static_cast<uint32_t>(num_vertices);
+  bytes_ = payload;
+  owner_ = std::move(owner);
+  num_groups_ = num_groups;
+  labels_off_ = labels_off;
+  edges_off_ = edges_off;
+  return util::Status::OK();
+}
 
+util::StatusOr<CharacteristicSets> CharacteristicSets::Attach(
+    std::string_view payload, std::shared_ptr<const void> owner) {
   CharacteristicSets cs;
-  cs.num_vertices_ = static_cast<uint32_t>(num_vertices);
-  cs.mapped_ = payload;
-  cs.mapped_owner_ = std::move(owner);
-  cs.mapped_num_groups_ = num_groups;
-  cs.mapped_labels_off_ = labels_off;
-  cs.mapped_edges_off_ = edges_off;
-  // The per-group scan is deferred to first use (see CheckMappedGroups)
-  // so an arena open pays O(1) here however many groups the graph has.
-  cs.mapped_gate_ = std::make_shared<MappedGate>();
+  CEGRAPH_RETURN_IF_ERROR(cs.Adopt(payload, std::move(owner)));
+  // The per-group scan is deferred to first use (see CheckGroups) so an
+  // arena open pays O(1) here however many groups the graph has.
+  cs.gate_ = std::make_shared<Gate>();
   return cs;
 }
 
-util::Status CharacteristicSets::CheckMappedGroups() const {
+util::Status CharacteristicSets::CheckGroups() const {
   auto malformed = [](const char* what) {
     return util::InvalidArgumentError(
         std::string("char-sets arena section: ") + what);
   };
-  const char* base = mapped_.data();
+  const char* base = bytes_.data();
   const uint64_t labels_count = util::LoadLittleU64(base + 16);
   const uint64_t edges_count = util::LoadLittleU64(base + 24);
   // Strict per-group label ordering and an exact 1:1 labels/edges
-  // correspondence (what the graph-scan constructor guarantees), so the
-  // mapped EstimateStar can run check-free once this scan passed.
-  for (uint64_t gi = 0; gi < mapped_num_groups_; ++gi) {
+  // correspondence (what the graph-scan constructor guarantees), so
+  // EstimateStar can run check-free once this scan passed.
+  for (uint64_t gi = 0; gi < num_groups_; ++gi) {
     const char* ge = base + kCsHeaderBytes + gi * kCsGroupStride;
     const uint64_t vertex_count = util::LoadLittleU64(ge);
     const uint64_t set_start = util::LoadLittleU64(ge + 8);
@@ -230,10 +160,10 @@ util::Status CharacteristicSets::CheckMappedGroups() const {
     }
     uint32_t prev = 0;
     for (uint64_t i = 0; i < set_count; ++i) {
-      const uint32_t l = util::LoadLittleU32(base + mapped_labels_off_ +
+      const uint32_t l = util::LoadLittleU32(base + labels_off_ +
                                              (set_start + i) * 4);
       const uint32_t el = util::LoadLittleU32(
-          base + mapped_edges_off_ + (edges_start + i) * kCsEdgeStride);
+          base + edges_off_ + (edges_start + i) * kCsEdgeStride);
       if (l != el) return malformed("label/edge key mismatch");
       if (i > 0 && l <= prev) return malformed("labels not ascending");
       prev = l;
@@ -242,19 +172,19 @@ util::Status CharacteristicSets::CheckMappedGroups() const {
   return util::Status::OK();
 }
 
-bool CharacteristicSets::MappedGroupsValid() const {
-  if (!mapped()) return true;
-  std::call_once(mapped_gate_->once, [&] {
-    util::Status checked = CheckMappedGroups();
-    if (!checked.ok()) mapped_gate_->error = checked.ToString();
-    mapped_gate_->valid.store(checked.ok(), std::memory_order_release);
+bool CharacteristicSets::GroupsValid() const {
+  if (gate_ == nullptr) return true;
+  std::call_once(gate_->once, [&] {
+    util::Status checked = CheckGroups();
+    if (!checked.ok()) gate_->error = checked.ToString();
+    gate_->valid.store(checked.ok(), std::memory_order_release);
   });
-  return mapped_gate_->valid.load(std::memory_order_acquire);
+  return gate_->valid.load(std::memory_order_acquire);
 }
 
 util::Status CharacteristicSets::ValidateNow() const {
-  if (MappedGroupsValid()) return util::Status::OK();
-  return util::InvalidArgumentError(mapped_gate_->error);
+  if (GroupsValid()) return util::Status::OK();
+  return util::InvalidArgumentError(gate_->error);
 }
 
 double CharacteristicSets::EstimateStar(
@@ -263,76 +193,50 @@ double CharacteristicSets::EstimateStar(
   std::map<graph::Label, int> need;
   for (graph::Label l : labels) ++need[l];
 
-  if (mapped()) {
-    // The mapped twin of the owned loop below: same group order, same
-    // need-map iteration, same float-op order — bit-identical estimates.
-    // A payload that fails the (deferred, latched) group scan serves as
-    // an empty summary: degraded, but never an out-of-bounds read.
-    if (!MappedGroupsValid()) return 0;
-    const char* base = mapped_.data();
-    double total = 0;
-    for (uint64_t gi = 0; gi < mapped_num_groups_; ++gi) {
-      const char* ge = base + kCsHeaderBytes + gi * kCsGroupStride;
-      const uint64_t vertex_count = util::LoadLittleU64(ge);
-      const uint64_t set_start = util::LoadLittleU64(ge + 8);
-      const uint64_t set_count = util::LoadLittleU64(ge + 16);
-      const uint64_t edges_start = util::LoadLittleU64(ge + 24);
-      // Binary search the group's sorted label array; a hit's position
-      // also indexes the 1:1 edges array (validated at attach).
-      auto find_pos = [&](graph::Label l) -> int64_t {
-        uint64_t lo = 0, hi = set_count;
-        while (lo < hi) {
-          const uint64_t mid = (lo + hi) / 2;
-          const uint32_t at = util::LoadLittleU32(
-              base + mapped_labels_off_ + (set_start + mid) * 4);
-          if (at == l) return static_cast<int64_t>(mid);
-          if (at < l) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        return -1;
-      };
-      bool covers = true;
-      for (const auto& [l, cnt] : need) {
-        if (find_pos(l) < 0) {
-          covers = false;
-          break;
-        }
-      }
-      if (!covers) continue;
-      double contribution = static_cast<double>(vertex_count);
-      for (const auto& [l, cnt] : need) {
-        const uint64_t edges = util::LoadLittleU64(
-            base + mapped_edges_off_ +
-            (edges_start + static_cast<uint64_t>(find_pos(l))) *
-                kCsEdgeStride +
-            8);
-        const double avg = static_cast<double>(edges) /
-                           static_cast<double>(vertex_count);
-        contribution *= std::pow(avg, cnt);
-      }
-      total += contribution;
-    }
-    return total;
-  }
-
+  // A payload that fails the (deferred, latched) group scan serves as an
+  // empty summary: degraded, but never an out-of-bounds read.
+  if (!GroupsValid()) return 0;
+  const char* base = bytes_.data();
   double total = 0;
-  for (const Group& group : groups_) {
+  for (uint64_t gi = 0; gi < num_groups_; ++gi) {
+    const char* ge = base + kCsHeaderBytes + gi * kCsGroupStride;
+    const uint64_t vertex_count = util::LoadLittleU64(ge);
+    const uint64_t set_start = util::LoadLittleU64(ge + 8);
+    const uint64_t set_count = util::LoadLittleU64(ge + 16);
+    const uint64_t edges_start = util::LoadLittleU64(ge + 24);
+    // Binary search the group's sorted label array; a hit's position also
+    // indexes the 1:1 edges array.
+    auto find_pos = [&](graph::Label l) -> int64_t {
+      uint64_t lo = 0, hi = set_count;
+      while (lo < hi) {
+        const uint64_t mid = (lo + hi) / 2;
+        const uint32_t at =
+            util::LoadLittleU32(base + labels_off_ + (set_start + mid) * 4);
+        if (at == l) return static_cast<int64_t>(mid);
+        if (at < l) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      return -1;
+    };
     bool covers = true;
     for (const auto& [l, cnt] : need) {
-      if (!group.char_set.contains(l)) {
+      if (find_pos(l) < 0) {
         covers = false;
         break;
       }
     }
     if (!covers) continue;
-    double contribution = static_cast<double>(group.vertex_count);
+    double contribution = static_cast<double>(vertex_count);
     for (const auto& [l, cnt] : need) {
+      const uint64_t edges = util::LoadLittleU64(
+          base + edges_off_ +
+          (edges_start + static_cast<uint64_t>(find_pos(l))) * kCsEdgeStride +
+          8);
       const double avg =
-          static_cast<double>(group.label_edges.at(l)) /
-          static_cast<double>(group.vertex_count);
+          static_cast<double>(edges) / static_cast<double>(vertex_count);
       contribution *= std::pow(avg, cnt);
     }
     total += contribution;

@@ -3,17 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/arena.h"
-#include "util/serde.h"
 #include "util/status.h"
 
 namespace cegraph::stats {
@@ -23,20 +19,28 @@ namespace cegraph::stats {
 /// outgoing edge labels — and, per group, the summary stores the number of
 /// member vertices and the total number of outgoing edges per label (from
 /// which average per-label multiplicities follow).
+///
+/// The summary has one in-memory representation, a flat little-endian
+/// layout that is also the kCharSets payload of an arena snapshot:
+///
+///   u64 num_vertices, u64 num_groups, u64 labels_count, u64 edges_count
+///   group table: num_groups x { u64 vertex_count, u64 set_start,
+///       u64 set_count, u64 edges_start, u64 edges_count }   (40 bytes)
+///   labels blob: labels_count x u32 (each group's char-set labels,
+///       strictly ascending), zero-padded to 8
+///   edges blob: edges_count x { u32 label, u32 reserved, u64 count }
+///       (strictly ascending per group, 1:1 with the group's labels)
+///
+/// Groups are ordered by their label sets, compared lexicographically. A
+/// summary built from a graph holds the layout in an owned buffer; one
+/// attached from a snapshot reads the mapped bytes in place. Copies share
+/// the immutable bytes.
 class CharacteristicSets {
  public:
   explicit CharacteristicSets(const graph::Graph& g);
 
-  struct Group {
-    std::set<graph::Label> char_set;
-    uint64_t vertex_count = 0;
-    /// label -> total number of outgoing edges with that label across the
-    /// group's vertices.
-    std::map<graph::Label, uint64_t> label_edges;
-  };
-
-  const std::vector<Group>& groups() const { return groups_; }
   uint32_t num_graph_vertices() const { return num_vertices_; }
+  size_t num_groups() const { return num_groups_; }
 
   /// Estimated number of matches of an out-star whose center emits one
   /// edge per entry of `labels` (labels may repeat): the CS formula
@@ -44,88 +48,55 @@ class CharacteristicSets {
   ///   |G| * prod_l (avg multiplicity of l in G)^{count(l)}.
   double EstimateStar(const std::vector<graph::Label>& labels) const;
 
-  /// Serializes the whole summary (it is eager, so unlike the lazy memo
-  /// caches this is a full Save, not an entry export). Works for mapped
-  /// instances too (the mapped layout is transcribed), so a context loaded
-  /// from an arena can still be re-saved as v2.
-  void Save(util::serde::Writer& writer) const;
+  /// The flat layout above (the snapshot payload).
+  std::string_view bytes() const { return bytes_; }
 
-  /// Reconstructs a summary previously written by Save. Fails on
-  /// truncated/corrupted input.
-  static util::StatusOr<CharacteristicSets> Load(util::serde::Reader& reader);
-
-  // ---- Mapped-backing surface (arena snapshot v3) ----
-  // CharacteristicSets is eager and read-only between rebuilds, so its
-  // mapped mode is total: EstimateStar iterates the arena bytes in place
-  // (same group order, same float-op order as the owned path — estimates
-  // stay bit-identical). The flat layout:
-  //
-  //   u64 num_vertices, u64 num_groups, u64 labels_count, u64 edges_count
-  //   group table: num_groups x { u64 vertex_count, u64 set_start,
-  //       u64 set_count, u64 edges_start, u64 edges_count }   (40 bytes)
-  //   labels blob: labels_count x u32 (each group's char-set labels,
-  //       strictly ascending), zero-padded to 8
-  //   edges blob: edges_count x { u32 label, u32 reserved, u64 count }
-  //       (strictly ascending per group)
-  //
-  // AttachMapped checks the header and blob extents up front (O(1), so
-  // arena opens stay O(sections)); the per-group scan that lets
-  // EstimateStar run check-free is deferred and latched on first use.
-
-  /// Serializes into the flat arena layout above. For a mapped instance
-  /// this is a byte copy of the attached payload.
-  std::string SaveArena() const;
-
-  /// Wraps a payload previously written by SaveArena; `owner` keeps the
-  /// mapping alive. Fails with a clean Status on any structural defect of
-  /// the header or blob extents; per-group defects surface via
+  /// Wraps a payload previously taken from bytes(); `owner` keeps it
+  /// alive. Checks the header and blob extents up front (O(1), so arena
+  /// opens stay O(sections)) and fails with a clean Status on any defect
+  /// there. The per-group scan that lets EstimateStar run check-free is
+  /// deferred and latched on first use: defects it finds surface via
   /// ValidateNow (eagerly) or degrade reads to an empty summary (lazily).
-  static util::StatusOr<CharacteristicSets> AttachMapped(
+  static util::StatusOr<CharacteristicSets> Attach(
       std::string_view payload, std::shared_ptr<const void> owner);
 
-  /// Forces the deferred per-group validation of a mapped instance and
-  /// reports the result (always OK for owned instances). Validation-only
-  /// snapshot passes call this for full rigor; serving paths instead pay
-  /// the one-time scan on first EstimateStar/Save.
+  /// Forces the deferred per-group validation of an attached summary and
+  /// reports the result (always OK for one built from a graph).
+  /// Validation-only snapshot passes call this for full rigor; serving
+  /// paths instead pay the one-time scan on first EstimateStar.
   util::Status ValidateNow() const;
 
-  bool mapped() const { return mapped_owner_ != nullptr; }
-
-  /// Group count regardless of backing (groups().size() is owned-only).
-  size_t num_groups() const {
-    return mapped() ? mapped_num_groups_ : groups_.size();
-  }
-
  private:
-  CharacteristicSets() : num_vertices_(0) {}
+  CharacteristicSets() = default;
+
+  /// Sets the layout fields from `payload` after checking its header and
+  /// blob extents.
+  util::Status Adopt(std::string_view payload,
+                     std::shared_ptr<const void> owner);
 
   /// Runs (or reuses) the deferred per-group scan; false means the group
   /// data is malformed and readers must treat the summary as empty.
-  bool MappedGroupsValid() const;
+  bool GroupsValid() const;
   /// The scan itself: strict per-group label ordering and an exact 1:1
   /// labels/edges correspondence, with a precise error on failure.
-  util::Status CheckMappedGroups() const;
+  util::Status CheckGroups() const;
 
-  uint32_t num_vertices_;
-  std::vector<Group> groups_;
+  uint32_t num_vertices_ = 0;
+  std::string_view bytes_;
+  std::shared_ptr<const void> owner_;
+  uint64_t num_groups_ = 0;
+  size_t labels_off_ = 0;  ///< byte offset of the labels blob
+  size_t edges_off_ = 0;   ///< byte offset of the edges blob
 
-  // Mapped backing (valid iff mapped_owner_ != nullptr). Raw offsets into
-  // mapped_; header and blob extents validated by AttachMapped, group
-  // records by the latched deferred scan.
-  std::string_view mapped_;
-  std::shared_ptr<const void> mapped_owner_;
-  uint64_t mapped_num_groups_ = 0;
-  size_t mapped_labels_off_ = 0;  ///< byte offset of the labels blob
-  size_t mapped_edges_off_ = 0;   ///< byte offset of the edges blob
-
-  /// Latch for the deferred scan (heap-held so instances stay movable;
-  /// shared across copies, which alias the same immutable payload).
-  struct MappedGate {
+  /// Latch for the deferred scan (heap-held so instances stay copyable;
+  /// shared across copies, which alias the same immutable bytes). Null for
+  /// a summary built from a graph, which is valid by construction.
+  struct Gate {
     std::once_flag once;
     std::atomic<bool> valid{false};
     std::string error;  ///< written inside the once, read-only after
   };
-  std::shared_ptr<MappedGate> mapped_gate_;
+  std::shared_ptr<Gate> gate_;
 };
 
 }  // namespace cegraph::stats

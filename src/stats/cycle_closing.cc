@@ -3,7 +3,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/shard.h"
+#include "util/serde.h"
 
 namespace cegraph::stats {
 
@@ -12,18 +12,21 @@ namespace {
 using graph::Label;
 using graph::VertexId;
 
-/// The one serialized shape of a ClosingKey (3 x u32 labels + packed
-/// orientation flags) — shared by ExportEntries, ImportEntries and the
-/// shard hash so the three can never drift apart.
-void WriteClosingKey(util::serde::Writer& writer, const ClosingKey& key) {
+}  // namespace
+
+std::string CycleClosingRates::Codec::EncodeKey(const ClosingKey& key) {
+  util::serde::Writer writer;
   writer.WriteU32(key.first_label);
   writer.WriteU32(key.last_label);
   writer.WriteU32(key.close_label);
   writer.WriteU8((key.first_forward ? 4 : 0) | (key.last_forward ? 2 : 0) |
                  (key.close_from_end ? 1 : 0));
+  return writer.TakeBuffer();
 }
 
-util::StatusOr<ClosingKey> ReadClosingKey(util::serde::Reader& reader) {
+util::StatusOr<ClosingKey> CycleClosingRates::Codec::DecodeKey(
+    std::string_view bytes) {
+  util::serde::Reader reader(bytes);
   ClosingKey key;
   auto first = reader.ReadU32();
   if (!first.ok()) return first.status();
@@ -33,6 +36,9 @@ util::StatusOr<ClosingKey> ReadClosingKey(util::serde::Reader& reader) {
   if (!close.ok()) return close.status();
   auto flags = reader.ReadU8();
   if (!flags.ok()) return flags.status();
+  if (!reader.AtEnd()) {
+    return util::InvalidArgumentError("closing-rate key has trailing bytes");
+  }
   key.first_label = *first;
   key.last_label = *last;
   key.close_label = *close;
@@ -42,110 +48,11 @@ util::StatusOr<ClosingKey> ReadClosingKey(util::serde::Reader& reader) {
   return key;
 }
 
-/// The stable shard hash of a closing key: its serialized wire shape (the
-/// exact bytes WriteClosingKey emits), hashed with the snapshot layer's
-/// fixed FNV-1a. Not ClosingKeyHash, whose mixing may change freely.
-uint64_t ShardHash(const ClosingKey& key) {
-  util::serde::Writer bytes;
-  WriteClosingKey(bytes, key);
-  return util::StableHash64(bytes.buffer());
-}
-
-}  // namespace
-
 double CycleClosingRates::Rate(const ClosingKey& key) const {
-  if (const double* hit = cache_.Find(key)) return *hit;
-  if (double mapped_rate; FindMapped(key, &mapped_rate)) {
-    return cache_.Insert(key, mapped_rate);
-  }
   // Sampling runs outside the cache lock; each key's walks derive a
   // deterministic stream, so a race on a cold key recomputes the identical
   // value.
   return cache_.GetOrCompute(key, [&] { return Sample(key); });
-}
-
-bool CycleClosingRates::FindMapped(const ClosingKey& key, double* rate) const {
-  if (mapped_.empty()) return false;
-  util::serde::Writer key_bytes;
-  WriteClosingKey(key_bytes, key);
-  for (const auto& [index, owner] : mapped_) {
-    auto hit = index.Find(key_bytes.buffer());
-    if (!hit.ok()) continue;  // clean miss or corrupt index: resample
-    util::serde::Reader reader(*hit);
-    auto decoded = reader.ReadDouble();
-    if (!decoded.ok() || !reader.AtEnd()) continue;
-    *rate = *decoded;
-    return true;
-  }
-  return false;
-}
-
-void CycleClosingRates::ExportArenaEntries(util::ArenaIndexBuilder& builder,
-                                           uint32_t shard,
-                                           uint32_t num_shards) const {
-  cache_.ForEach([&](const ClosingKey& key, const double& rate) {
-    util::serde::Writer key_bytes;
-    WriteClosingKey(key_bytes, key);
-    if (util::InShard(util::StableHash64(key_bytes.buffer()), shard,
-                      num_shards)) {
-      util::serde::Writer v;
-      v.WriteDouble(rate);
-      builder.Add(key_bytes.TakeBuffer(), v.TakeBuffer());
-    }
-  });
-}
-
-util::Status CycleClosingRates::MaterializeFromIndex(
-    const util::MappedIndex& index) const {
-  util::Status decode = util::Status::OK();
-  util::Status walk =
-      index.Visit([&](std::string_view key_bytes, std::string_view value) {
-        if (!decode.ok()) return;
-        util::serde::Reader key_reader(key_bytes);
-        auto key = ReadClosingKey(key_reader);
-        util::serde::Reader value_reader(value);
-        auto rate = value_reader.ReadDouble();
-        if (!key.ok() || !key_reader.AtEnd() || !rate.ok() ||
-            !value_reader.AtEnd()) {
-          decode = util::InvalidArgumentError(
-              "cycle-closing arena entry malformed");
-          return;
-        }
-        cache_.Insert(*key, *rate);
-      });
-  if (!walk.ok()) return walk;
-  return decode;
-}
-
-void CycleClosingRates::ExportEntries(util::serde::Writer& writer,
-                                      uint32_t shard,
-                                      uint32_t num_shards) const {
-  std::vector<std::pair<ClosingKey, double>> entries;
-  entries.reserve(cache_.size());
-  cache_.ForEach([&](const ClosingKey& key, const double& rate) {
-    if (util::InShard(ShardHash(key), shard, num_shards)) {
-      entries.emplace_back(key, rate);
-    }
-  });
-  writer.WriteU64(entries.size());
-  for (const auto& [key, rate] : entries) {
-    WriteClosingKey(writer, key);
-    writer.WriteDouble(rate);
-  }
-}
-
-util::Status CycleClosingRates::ImportEntries(
-    util::serde::Reader& reader) const {
-  auto count = reader.ReadU64();
-  if (!count.ok()) return count.status();
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto key = ReadClosingKey(reader);
-    if (!key.ok()) return key.status();
-    auto rate = reader.ReadDouble();
-    if (!rate.ok()) return rate.status();
-    cache_.Insert(*key, *rate);
-  }
-  return util::Status::OK();
 }
 
 double CycleClosingRates::Sample(const ClosingKey& key) const {

@@ -2,15 +2,12 @@
 #define CEGRAPH_STATS_CYCLE_CLOSING_H_
 
 #include <cstdint>
-#include <memory>
-#include <utility>
-#include <vector>
+#include <string>
+#include <string_view>
 
 #include "graph/graph.h"
-#include "util/arena.h"
 #include "util/keyed_cache.h"
 #include "util/random.h"
-#include "util/serde.h"
 #include "util/status.h"
 
 namespace cegraph::stats {
@@ -92,10 +89,11 @@ class CycleClosingRates {
 
   // ---- Maintenance surface (dynamic layer) ----
 
-  /// Calls `fn(key, rate)` for every sampled entry.
+  /// Calls `fn(key, rate)` for every entry, sampled or still served off an
+  /// attached snapshot index.
   template <typename Fn>
   void VisitEntries(Fn&& fn) const {
-    cache_.ForEach(fn);
+    cache_.ForEachEntry(fn);
   }
 
   /// Re-inserts a rate carried over from a previous graph epoch (only valid
@@ -118,51 +116,26 @@ class CycleClosingRates {
   /// Lookup/eviction counters of the memo cache.
   util::CacheCounters cache_counters() const { return cache_.counters(); }
 
-  /// Serializes every sampled (key, rate) entry — the cycle-closing section
-  /// of a summary snapshot. With num_shards >= 2 only the entries whose
-  /// key-hash range is `shard` are written (see util/shard.h).
-  void ExportEntries(util::serde::Writer& writer, uint32_t shard = 0,
-                     uint32_t num_shards = 0) const;
+  /// Snapshot entry encoding: key = 3 x u32 labels + a u8 of packed
+  /// orientation flags, value = 8-byte LE double.
+  struct Codec : util::F64ValueCodec {
+    static std::string EncodeKey(const ClosingKey& key);
+    static util::StatusOr<ClosingKey> DecodeKey(std::string_view bytes);
+  };
+  using Cache = util::MappedKeyedCache<ClosingKey, double, Codec,
+                                       ClosingKeyHash>;
 
-  /// Merges previously exported entries (existing entries win). Fails on
-  /// truncated/corrupted input.
-  util::Status ImportEntries(util::serde::Reader& reader) const;
-
-  // ---- Mapped-backing surface (arena snapshot v3) ----
-  // See MarkovTable: memo first, then mapped probe with copy-on-miss;
-  // attach/detach run quiesced. Index keys are the serialized
-  // WriteClosingKey bytes, values 8-byte LE doubles. Rate() has no Status
-  // channel, so a corrupted index degrades to a resample (deterministic,
-  // so still the cold value), never an error.
-
-  /// Serializes entries into an arena hash index (same shard filter as
-  /// ExportEntries).
-  void ExportArenaEntries(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
-                          uint32_t num_shards = 0) const;
-
-  /// Attaches one mapped index; `owner` keeps the mapping alive.
-  void AttachMappedIndex(util::MappedIndex index,
-                         std::shared_ptr<const void> owner) const {
-    mapped_.emplace_back(std::move(index), std::move(owner));
-  }
-
-  /// Drops all mapped backing (pre-scrub; see MarkovTable).
-  void DetachMappedIndexes() const { mapped_.clear(); }
-
-  size_t num_mapped_indexes() const { return mapped_.size(); }
-
-  /// Decodes every entry of `index` into the memo cache.
-  util::Status MaterializeFromIndex(const util::MappedIndex& index) const;
+  /// The memo with its attached snapshot indexes (see MarkovTable::cache).
+  /// Rate() has no Status channel, so a corrupt index entry degrades to a
+  /// resample (deterministic, so still the cold value), never an error.
+  const Cache& cache() const { return cache_; }
 
  private:
   double Sample(const ClosingKey& key) const;
-  bool FindMapped(const ClosingKey& key, double* rate) const;
 
   const graph::Graph& g_;
   CycleClosingOptions options_;
-  util::KeyedCache<ClosingKey, double, ClosingKeyHash> cache_;
-  mutable std::vector<std::pair<util::MappedIndex, std::shared_ptr<const void>>>
-      mapped_;
+  Cache cache_;
 };
 
 }  // namespace cegraph::stats

@@ -7,7 +7,7 @@
 
 #include "matching/matcher.h"
 #include "query/subquery.h"
-#include "util/shard.h"
+#include "util/serde.h"
 
 namespace cegraph::stats {
 
@@ -112,10 +112,7 @@ DegreeMap BaseRelationMap(const graph::Graph& g, graph::Label l) {
 const DegreeMap& StatsCatalog::BaseRelation(graph::Label l) const {
   // Compute outside the lock (check-compute-insert like every other memo
   // cache here); a race on a cold label recomputes the same values.
-  return base_cache_.GetOrCompute(l, [&] {
-    if (DegreeMap mapped; FindMappedBase(l, &mapped)) return mapped;
-    return BaseRelationMap(g_, l);
-  });
+  return base_cache_.GetOrCompute(l, [&] { return BaseRelationMap(g_, l); });
 }
 
 void StatsCatalog::RefreshBaseRelation(graph::Label l) const {
@@ -126,10 +123,6 @@ const StatsCatalog::JoinStats* StatsCatalog::TwoJoin(
     const query::QueryGraph& pattern) const {
   const std::string key = pattern.CanonicalCode();
   if (const auto* hit = join_cache_.Find(key)) return hit->get();
-  // Copy-on-miss from mapped snapshot bytes (over-cap verdicts included).
-  if (std::unique_ptr<JoinStats> mapped; FindMappedJoin(key, &mapped)) {
-    return join_cache_.Insert(key, std::move(mapped)).get();
-  }
 
   matching::Matcher matcher(g_);
   matching::MatchOptions options;
@@ -242,96 +235,15 @@ util::StatusOr<QueryGraph> ReadQueryGraph(util::serde::Reader& reader) {
 
 }  // namespace
 
-void StatsCatalog::ExportEntries(util::serde::Writer& writer, uint32_t shard,
-                                 uint32_t num_shards) const {
-  std::vector<std::pair<graph::Label, DegreeMap>> bases;
-  bases.reserve(base_cache_.size());
-  base_cache_.ForEach([&](const graph::Label& l, const DegreeMap& dm) {
-    if (util::InShard(util::StableHash64(static_cast<uint64_t>(l)), shard,
-                      num_shards)) {
-      bases.emplace_back(l, dm);
-    }
-  });
-  writer.WriteU64(bases.size());
-  for (const auto& [l, dm] : bases) {
-    writer.WriteU32(l);
-    WriteDegreeMap(writer, dm);
-  }
-
-  // JoinStats pointers are node-stable, so collecting them under the lock
-  // and serializing outside is safe.
-  std::vector<std::pair<std::string, const JoinStats*>> joins;
-  joins.reserve(join_cache_.size());
-  join_cache_.ForEach(
-      [&](const std::string& key, const std::unique_ptr<JoinStats>& js) {
-        if (util::InShard(util::StableHash64(key), shard, num_shards)) {
-          joins.emplace_back(key, js.get());
-        }
-      });
-  writer.WriteU64(joins.size());
-  for (const auto& [key, js] : joins) {
-    writer.WriteString(key);
-    writer.WriteU8(js != nullptr ? 1 : 0);  // 0 = over-cap verdict
-    if (js != nullptr) {
-      WriteQueryGraph(writer, js->representative);
-      WriteDegreeMap(writer, js->deg);
-      writer.WriteDouble(js->cardinality);
-    }
-  }
-}
-
-util::Status StatsCatalog::ImportEntries(util::serde::Reader& reader) const {
-  auto num_bases = reader.ReadU64();
-  if (!num_bases.ok()) return num_bases.status();
-  for (uint64_t i = 0; i < *num_bases; ++i) {
-    auto label = reader.ReadU32();
-    if (!label.ok()) return label.status();
-    auto dm = ReadDegreeMap(reader);
-    if (!dm.ok()) return dm.status();
-    if (*label >= g_.num_labels()) {
-      return util::InvalidArgumentError("base-relation label out of range");
-    }
-    base_cache_.Insert(*label, *dm);
-  }
-
-  auto num_joins = reader.ReadU64();
-  if (!num_joins.ok()) return num_joins.status();
-  for (uint64_t i = 0; i < *num_joins; ++i) {
-    auto key = reader.ReadString();
-    if (!key.ok()) return key.status();
-    auto has_stats = reader.ReadU8();
-    if (!has_stats.ok()) return has_stats.status();
-    if (*has_stats == 0) {
-      join_cache_.Insert(*key, nullptr);
-      continue;
-    }
-    auto representative = ReadQueryGraph(reader);
-    if (!representative.ok()) return representative.status();
-    auto dm = ReadDegreeMap(reader);
-    if (!dm.ok()) return dm.status();
-    auto cardinality = reader.ReadDouble();
-    if (!cardinality.ok()) return cardinality.status();
-    auto js = std::make_unique<JoinStats>();
-    js->representative = std::move(*representative);
-    js->deg = *dm;
-    js->cardinality = *cardinality;
-    join_cache_.Insert(*key, std::move(js));
-  }
-  return util::Status::OK();
-}
-
-namespace {
-
-/// Arena index key of base relation `l`: the 8 LE bytes StableHash64's
-/// u64 overload hashes, so index-probe hash == shard hash of the label.
-std::string LabelKeyBytes(graph::Label l) {
+std::string StatsCatalog::BaseCodec::EncodeKey(graph::Label l) {
   std::string bytes(8, '\0');
   const uint64_t v = l;
   for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
   return bytes;
 }
 
-util::StatusOr<graph::Label> LabelFromKeyBytes(std::string_view bytes) {
+util::StatusOr<graph::Label> StatsCatalog::BaseCodec::DecodeKey(
+    std::string_view bytes) const {
   if (bytes.size() != 8) {
     return util::InvalidArgumentError("base-relation arena key malformed");
   }
@@ -339,36 +251,51 @@ util::StatusOr<graph::Label> LabelFromKeyBytes(std::string_view bytes) {
   for (int i = 7; i >= 0; --i) {
     v = v << 8 | static_cast<uint8_t>(bytes[i]);
   }
-  if (v > 0xffffffffull) {
+  if (v >= num_labels) {
     return util::InvalidArgumentError("base-relation label out of range");
   }
   return static_cast<graph::Label>(v);
 }
 
-/// The one serialized shape of a two-join value (shared by the arena
-/// export, mapped probe and materialization): u8 has_stats, then the
-/// JoinStats fields exactly as the v2 section orders them.
-void WriteJoinValue(util::serde::Writer& writer,
-                    const StatsCatalog::JoinStats* js) {
+std::string StatsCatalog::BaseCodec::EncodeValue(const DegreeMap& dm) {
+  util::serde::Writer writer;
+  WriteDegreeMap(writer, dm);
+  return writer.TakeBuffer();
+}
+
+util::StatusOr<DegreeMap> StatsCatalog::BaseCodec::DecodeValue(
+    std::string_view bytes) {
+  util::serde::Reader reader(bytes);
+  auto dm = ReadDegreeMap(reader);
+  if (!dm.ok()) return dm.status();
+  if (!reader.AtEnd()) {
+    return util::InvalidArgumentError("base-relation arena entry malformed");
+  }
+  return *dm;
+}
+
+std::string StatsCatalog::JoinCodec::EncodeValue(
+    const std::unique_ptr<JoinStats>& js) {
+  util::serde::Writer writer;
   writer.WriteU8(js != nullptr ? 1 : 0);  // 0 = over-cap verdict
   if (js != nullptr) {
     WriteQueryGraph(writer, js->representative);
     WriteDegreeMap(writer, js->deg);
     writer.WriteDouble(js->cardinality);
   }
+  return writer.TakeBuffer();
 }
 
-/// Decoded two-join value; a held nullptr is the over-cap verdict.
-util::StatusOr<std::unique_ptr<StatsCatalog::JoinStats>> ReadJoinValue(
-    std::string_view value) {
-  util::serde::Reader reader(value);
+util::StatusOr<std::unique_ptr<StatsCatalog::JoinStats>>
+StatsCatalog::JoinCodec::DecodeValue(std::string_view bytes) {
+  util::serde::Reader reader(bytes);
   auto has_stats = reader.ReadU8();
   if (!has_stats.ok()) return has_stats.status();
   if (*has_stats == 0) {
     if (!reader.AtEnd()) {
       return util::InvalidArgumentError("two-join arena entry malformed");
     }
-    return std::unique_ptr<StatsCatalog::JoinStats>(nullptr);
+    return std::unique_ptr<JoinStats>(nullptr);
   }
   auto representative = ReadQueryGraph(reader);
   if (!representative.ok()) return representative.status();
@@ -379,109 +306,11 @@ util::StatusOr<std::unique_ptr<StatsCatalog::JoinStats>> ReadJoinValue(
   if (!reader.AtEnd()) {
     return util::InvalidArgumentError("two-join arena entry malformed");
   }
-  auto js = std::make_unique<StatsCatalog::JoinStats>();
+  auto js = std::make_unique<JoinStats>();
   js->representative = std::move(*representative);
   js->deg = *dm;
   js->cardinality = *cardinality;
   return js;
-}
-
-}  // namespace
-
-bool StatsCatalog::FindMappedBase(graph::Label l, DegreeMap* dm) const {
-  if (mapped_bases_.empty()) return false;
-  const std::string key = LabelKeyBytes(l);
-  for (const auto& [index, owner] : mapped_bases_) {
-    auto hit = index.Find(key);
-    if (!hit.ok()) continue;  // clean miss or corrupt index: recompute
-    util::serde::Reader reader(*hit);
-    auto decoded = ReadDegreeMap(reader);
-    if (!decoded.ok() || !reader.AtEnd()) continue;
-    *dm = *decoded;
-    return true;
-  }
-  return false;
-}
-
-bool StatsCatalog::FindMappedJoin(const std::string& key,
-                                  std::unique_ptr<JoinStats>* stats) const {
-  for (const auto& [index, owner] : mapped_joins_) {
-    auto hit = index.Find(key);
-    if (!hit.ok()) continue;  // clean miss or corrupt index: recompute
-    auto decoded = ReadJoinValue(*hit);
-    if (!decoded.ok()) continue;
-    *stats = std::move(*decoded);
-    return true;
-  }
-  return false;
-}
-
-void StatsCatalog::ExportArenaBases(util::ArenaIndexBuilder& builder,
-                                    uint32_t shard,
-                                    uint32_t num_shards) const {
-  base_cache_.ForEach([&](const graph::Label& l, const DegreeMap& dm) {
-    if (util::InShard(util::StableHash64(static_cast<uint64_t>(l)), shard,
-                      num_shards)) {
-      util::serde::Writer v;
-      WriteDegreeMap(v, dm);
-      builder.Add(LabelKeyBytes(l), v.TakeBuffer());
-    }
-  });
-}
-
-void StatsCatalog::ExportArenaJoins(util::ArenaIndexBuilder& builder,
-                                    uint32_t shard,
-                                    uint32_t num_shards) const {
-  join_cache_.ForEach(
-      [&](const std::string& key, const std::unique_ptr<JoinStats>& js) {
-        if (util::InShard(util::StableHash64(key), shard, num_shards)) {
-          util::serde::Writer v;
-          WriteJoinValue(v, js.get());
-          builder.Add(key, v.TakeBuffer());
-        }
-      });
-}
-
-util::Status StatsCatalog::MaterializeFromBases(
-    const util::MappedIndex& index) const {
-  util::Status decode = util::Status::OK();
-  util::Status walk =
-      index.Visit([&](std::string_view key, std::string_view value) {
-        if (!decode.ok()) return;
-        auto label = LabelFromKeyBytes(key);
-        util::serde::Reader reader(value);
-        auto dm = ReadDegreeMap(reader);
-        if (!label.ok() || !dm.ok() || !reader.AtEnd()) {
-          decode = util::InvalidArgumentError(
-              "base-relation arena entry malformed");
-          return;
-        }
-        if (*label >= g_.num_labels()) {
-          decode =
-              util::InvalidArgumentError("base-relation label out of range");
-          return;
-        }
-        base_cache_.Insert(*label, *dm);
-      });
-  if (!walk.ok()) return walk;
-  return decode;
-}
-
-util::Status StatsCatalog::MaterializeFromJoins(
-    const util::MappedIndex& index) const {
-  util::Status decode = util::Status::OK();
-  util::Status walk =
-      index.Visit([&](std::string_view key, std::string_view value) {
-        if (!decode.ok()) return;
-        auto decoded = ReadJoinValue(value);
-        if (!decoded.ok()) {
-          decode = decoded.status();
-          return;
-        }
-        join_cache_.Insert(std::string(key), std::move(*decoded));
-      });
-  if (!walk.ok()) return walk;
-  return decode;
 }
 
 util::StatusOr<DegreeStats> DegreeStats::Build(const StatsCatalog& catalog,

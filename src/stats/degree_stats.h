@@ -5,14 +5,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
 #include "query/query_graph.h"
-#include "util/arena.h"
 #include "util/keyed_cache.h"
-#include "util/serde.h"
 #include "util/status.h"
 
 namespace cegraph::stats {
@@ -48,7 +47,9 @@ class StatsCatalog {
   /// breaks soundness).
   explicit StatsCatalog(const graph::Graph& g,
                         uint64_t materialize_cap = 4'000'000)
-      : g_(g), materialize_cap_(materialize_cap) {}
+      : g_(g),
+        materialize_cap_(materialize_cap),
+        base_cache_(BaseCodec{g.num_labels()}) {}
 
   StatsCatalog(const StatsCatalog&) = delete;
   StatsCatalog& operator=(const StatsCatalog&) = delete;
@@ -76,17 +77,19 @@ class StatsCatalog {
 
   // ---- Maintenance surface (dynamic layer) ----
 
-  /// Calls `fn(label, degree_map)` for every cached base relation.
+  /// Calls `fn(label, degree_map)` for every base relation, cached or
+  /// still served off an attached snapshot index.
   template <typename Fn>
   void VisitBaseRelations(Fn&& fn) const {
-    base_cache_.ForEach(fn);
+    base_cache_.ForEachEntry(fn);
   }
 
-  /// Calls `fn(canonical_code, join_stats_or_null)` for every cached
-  /// two-join entry (null = cached over-cap verdict).
+  /// Calls `fn(canonical_code, join_stats_or_null)` for every two-join
+  /// entry, cached or still served off an attached snapshot index (null =
+  /// over-cap verdict).
   template <typename Fn>
   void VisitJoinEntries(Fn&& fn) const {
-    join_cache_.ForEach(
+    join_cache_.ForEachEntry(
         [&](const std::string& key, const std::unique_ptr<JoinStats>& js) {
           fn(key, js.get());
         });
@@ -124,73 +127,42 @@ class StatsCatalog {
     return join_cache_.counters();
   }
 
-  /// Serializes both memo caches (base-relation degree maps and
-  /// materialized two-join statistics, over-cap markers included) — the
-  /// degree-statistics section of a summary snapshot. With num_shards >= 2
-  /// only entries whose key-hash range is `shard` are written (base
-  /// relations shard by label, two-joins by canonical code; see
-  /// util/shard.h).
-  void ExportEntries(util::serde::Writer& writer, uint32_t shard = 0,
-                     uint32_t num_shards = 0) const;
+  /// Snapshot entry encodings. Base relations: key = the 8 LE bytes of
+  /// the label (what StableHash64(uint64_t) hashes), value = DegreeMap.
+  /// Two-joins: key = canonical code, value = u8 has_stats (0 = over-cap
+  /// verdict), then the representative pattern, DegreeMap and f64
+  /// cardinality.
+  struct BaseCodec {
+    uint32_t num_labels = 0;  ///< decoded labels must lie below this
+    static std::string EncodeKey(graph::Label l);
+    util::StatusOr<graph::Label> DecodeKey(std::string_view bytes) const;
+    static std::string EncodeValue(const DegreeMap& dm);
+    static util::StatusOr<DegreeMap> DecodeValue(std::string_view bytes);
+  };
+  struct JoinCodec : util::StringKeyCodec {
+    static std::string EncodeValue(const std::unique_ptr<JoinStats>& js);
+    static util::StatusOr<std::unique_ptr<JoinStats>> DecodeValue(
+        std::string_view bytes);
+  };
+  using BaseCache = util::MappedKeyedCache<graph::Label, DegreeMap, BaseCodec>;
+  using JoinCache =
+      util::MappedKeyedCache<std::string, std::unique_ptr<JoinStats>,
+                             JoinCodec>;
 
-  /// Merges previously exported entries (existing entries win). Fails on
-  /// truncated/corrupted input.
-  util::Status ImportEntries(util::serde::Reader& reader) const;
-
-  // ---- Mapped-backing surface (arena snapshot v3) ----
-  // See MarkovTable: memo first, then mapped probe with copy-on-miss;
-  // attach/detach run quiesced. Unlike the v2 section (one payload holding
-  // both caches), the arena keeps two separate hash indexes — base
-  // relations (key = 8-byte LE label, value = DegreeMap) and two-joins
-  // (key = canonical code, value = u8 has_stats + JoinStats fields) — so
-  // each is probed in place without scanning the other.
-
-  void ExportArenaBases(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
-                        uint32_t num_shards = 0) const;
-  void ExportArenaJoins(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
-                        uint32_t num_shards = 0) const;
-
-  void AttachMappedBases(util::MappedIndex index,
-                         std::shared_ptr<const void> owner) const {
-    mapped_bases_.emplace_back(std::move(index), std::move(owner));
-  }
-  void AttachMappedJoins(util::MappedIndex index,
-                         std::shared_ptr<const void> owner) const {
-    mapped_joins_.emplace_back(std::move(index), std::move(owner));
-  }
-
-  /// Drops all mapped backing (pre-scrub; see MarkovTable).
-  void DetachMappedIndexes() const {
-    mapped_bases_.clear();
-    mapped_joins_.clear();
-  }
-
-  size_t num_mapped_indexes() const {
-    return mapped_bases_.size() + mapped_joins_.size();
-  }
-
-  /// Decode every entry of a mapped index into the corresponding memo.
-  util::Status MaterializeFromBases(const util::MappedIndex& index) const;
-  util::Status MaterializeFromJoins(const util::MappedIndex& index) const;
+  /// The two memos with their attached snapshot indexes (see
+  /// MarkovTable::cache); the arena keeps one index per memo, so each is
+  /// probed in place without scanning the other.
+  const BaseCache& base_cache() const { return base_cache_; }
+  const JoinCache& join_cache() const { return join_cache_; }
 
  private:
-  bool FindMappedBase(graph::Label l, DegreeMap* dm) const;
-  /// True when the mapped indexes hold a verdict for `key`; `*stats` is
-  /// null for an over-cap verdict.
-  bool FindMappedJoin(const std::string& key,
-                      std::unique_ptr<JoinStats>* stats) const;
-
   const graph::Graph& g_;
   uint64_t materialize_cap_;
-  mutable std::vector<std::pair<util::MappedIndex, std::shared_ptr<const void>>>
-      mapped_bases_;
-  mutable std::vector<std::pair<util::MappedIndex, std::shared_ptr<const void>>>
-      mapped_joins_;
   /// Returned references/pointers stay valid because the caches never
-  /// erase (unordered_map node stability). A null JoinStats pointer is a
-  /// cached "too large to materialize" verdict.
-  util::KeyedCache<graph::Label, DegreeMap> base_cache_;
-  util::KeyedCache<std::string, std::unique_ptr<JoinStats>> join_cache_;
+  /// erase outside maintenance (unordered_map node stability). A null
+  /// JoinStats pointer is a cached "too large to materialize" verdict.
+  BaseCache base_cache_;
+  JoinCache join_cache_;
 };
 
 /// One statistics-bearing relation of a query, with attributes expressed as

@@ -7,7 +7,7 @@
 
 #include "matching/matcher.h"
 #include "query/subquery.h"
-#include "util/shard.h"
+#include "util/serde.h"
 
 namespace cegraph::stats {
 
@@ -46,10 +46,6 @@ util::StatusOr<ExtensionDispersion> DispersionCatalog::Get(
     key = marked_q->CanonicalCode();
   }
   if (const ExtensionDispersion* hit = cache_.Find(key)) return *hit;
-  // Copy-on-miss from mapped snapshot bytes.
-  if (ExtensionDispersion mapped; FindMapped(key, &mapped)) {
-    return cache_.Insert(key, mapped);
-  }
 
   matching::Matcher matcher(g_);
   ExtensionDispersion result;
@@ -127,52 +123,18 @@ util::StatusOr<ExtensionDispersion> DispersionCatalog::Get(
   return cache_.Insert(key, result);
 }
 
-void DispersionCatalog::ExportEntries(util::serde::Writer& writer,
-                                      uint32_t shard,
-                                      uint32_t num_shards) const {
-  std::vector<std::pair<std::string, ExtensionDispersion>> entries;
-  entries.reserve(cache_.size());
-  cache_.ForEach([&](const std::string& key, const ExtensionDispersion& d) {
-    if (util::InShard(util::StableHash64(key), shard, num_shards)) {
-      entries.emplace_back(key, d);
-    }
-  });
-  writer.WriteU64(entries.size());
-  for (const auto& [key, d] : entries) {
-    writer.WriteString(key);
-    writer.WriteDouble(d.mean);
-    writer.WriteDouble(d.cv2);
-    writer.WriteDouble(d.entropy);
-  }
+std::string DispersionCatalog::Codec::EncodeValue(
+    const ExtensionDispersion& d) {
+  util::serde::Writer writer;
+  writer.WriteDouble(d.mean);
+  writer.WriteDouble(d.cv2);
+  writer.WriteDouble(d.entropy);
+  return writer.TakeBuffer();
 }
 
-util::Status DispersionCatalog::ImportEntries(
-    util::serde::Reader& reader) const {
-  auto count = reader.ReadU64();
-  if (!count.ok()) return count.status();
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto key = reader.ReadString();
-    if (!key.ok()) return key.status();
-    ExtensionDispersion d;
-    auto mean = reader.ReadDouble();
-    if (!mean.ok()) return mean.status();
-    auto cv2 = reader.ReadDouble();
-    if (!cv2.ok()) return cv2.status();
-    auto entropy = reader.ReadDouble();
-    if (!entropy.ok()) return entropy.status();
-    d.mean = *mean;
-    d.cv2 = *cv2;
-    d.entropy = *entropy;
-    cache_.Insert(*key, d);
-  }
-  return util::Status::OK();
-}
-
-namespace {
-
-util::StatusOr<ExtensionDispersion> ReadDispersionValue(
-    std::string_view value) {
-  util::serde::Reader reader(value);
+util::StatusOr<ExtensionDispersion> DispersionCatalog::Codec::DecodeValue(
+    std::string_view bytes) {
+  util::serde::Reader reader(bytes);
   ExtensionDispersion d;
   auto mean = reader.ReadDouble();
   if (!mean.ok()) return mean.status();
@@ -187,52 +149,6 @@ util::StatusOr<ExtensionDispersion> ReadDispersionValue(
   d.cv2 = *cv2;
   d.entropy = *entropy;
   return d;
-}
-
-}  // namespace
-
-bool DispersionCatalog::FindMapped(const std::string& key,
-                                   ExtensionDispersion* d) const {
-  for (const auto& [index, owner] : mapped_) {
-    auto hit = index.Find(key);
-    if (!hit.ok()) continue;  // clean miss or corrupt index: recompute
-    auto decoded = ReadDispersionValue(*hit);
-    if (!decoded.ok()) continue;
-    *d = *decoded;
-    return true;
-  }
-  return false;
-}
-
-void DispersionCatalog::ExportArenaEntries(util::ArenaIndexBuilder& builder,
-                                           uint32_t shard,
-                                           uint32_t num_shards) const {
-  cache_.ForEach([&](const std::string& key, const ExtensionDispersion& d) {
-    if (util::InShard(util::StableHash64(key), shard, num_shards)) {
-      util::serde::Writer v;
-      v.WriteDouble(d.mean);
-      v.WriteDouble(d.cv2);
-      v.WriteDouble(d.entropy);
-      builder.Add(key, v.TakeBuffer());
-    }
-  });
-}
-
-util::Status DispersionCatalog::MaterializeFromIndex(
-    const util::MappedIndex& index) const {
-  util::Status decode = util::Status::OK();
-  util::Status walk =
-      index.Visit([&](std::string_view key, std::string_view value) {
-        if (!decode.ok()) return;
-        auto decoded = ReadDispersionValue(value);
-        if (!decoded.ok()) {
-          decode = decoded.status();
-          return;
-        }
-        cache_.Insert(std::string(key), *decoded);
-      });
-  if (!walk.ok()) return walk;
-  return decode;
 }
 
 }  // namespace cegraph::stats

@@ -1,16 +1,12 @@
 #ifndef CEGRAPH_STATS_DISPERSION_H_
 #define CEGRAPH_STATS_DISPERSION_H_
 
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 #include "graph/graph.h"
 #include "query/query_graph.h"
-#include "util/arena.h"
 #include "util/keyed_cache.h"
-#include "util/serde.h"
 #include "util/status.h"
 
 namespace cegraph::stats {
@@ -63,10 +59,11 @@ class DispersionCatalog {
 
   // ---- Maintenance surface (dynamic layer) ----
 
-  /// Calls `fn(marked_canonical_code, dispersion)` for every cached entry.
+  /// Calls `fn(marked_canonical_code, dispersion)` for every entry,
+  /// cached or still served off an attached snapshot index.
   template <typename Fn>
   void VisitEntries(Fn&& fn) const {
-    cache_.ForEach(fn);
+    cache_.ForEachEntry(fn);
   }
 
   /// Re-inserts an entry carried over from a previous graph epoch.
@@ -89,49 +86,22 @@ class DispersionCatalog {
   /// Lookup/eviction counters of the memo cache.
   util::CacheCounters cache_counters() const { return cache_.counters(); }
 
-  /// Serializes every cached (pattern class, dispersion) entry — the
-  /// dispersion section of a summary snapshot. With num_shards >= 2 only
-  /// the entries whose key-hash range is `shard` are written (see
-  /// util/shard.h).
-  void ExportEntries(util::serde::Writer& writer, uint32_t shard = 0,
-                     uint32_t num_shards = 0) const;
+  /// Snapshot entry encoding: key = marked canonical code, value = the
+  /// three dispersion doubles (mean, cv2, entropy).
+  struct Codec : util::StringKeyCodec {
+    static std::string EncodeValue(const ExtensionDispersion& d);
+    static util::StatusOr<ExtensionDispersion> DecodeValue(
+        std::string_view bytes);
+  };
+  using Cache = util::MappedKeyedCache<std::string, ExtensionDispersion, Codec>;
 
-  /// Merges previously exported entries (existing entries win). Fails on
-  /// truncated/corrupted input.
-  util::Status ImportEntries(util::serde::Reader& reader) const;
-
-  // ---- Mapped-backing surface (arena snapshot v3) ----
-  // See MarkovTable: memo first, then mapped probe with copy-on-miss;
-  // attach/detach run quiesced. Index keys are the marked canonical codes,
-  // values the three dispersion doubles.
-
-  /// Serializes entries into an arena hash index (same shard filter as
-  /// ExportEntries).
-  void ExportArenaEntries(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
-                          uint32_t num_shards = 0) const;
-
-  /// Attaches one mapped index; `owner` keeps the mapping alive.
-  void AttachMappedIndex(util::MappedIndex index,
-                         std::shared_ptr<const void> owner) const {
-    mapped_.emplace_back(std::move(index), std::move(owner));
-  }
-
-  /// Drops all mapped backing (pre-scrub; see MarkovTable).
-  void DetachMappedIndexes() const { mapped_.clear(); }
-
-  size_t num_mapped_indexes() const { return mapped_.size(); }
-
-  /// Decodes every entry of `index` into the memo cache.
-  util::Status MaterializeFromIndex(const util::MappedIndex& index) const;
+  /// The memo with its attached snapshot indexes (see MarkovTable::cache).
+  const Cache& cache() const { return cache_; }
 
  private:
-  bool FindMapped(const std::string& key, ExtensionDispersion* d) const;
-
   const graph::Graph& g_;
   uint64_t materialize_cap_;
-  util::KeyedCache<std::string, ExtensionDispersion> cache_;
-  mutable std::vector<std::pair<util::MappedIndex, std::shared_ptr<const void>>>
-      mapped_;
+  Cache cache_;
 };
 
 }  // namespace cegraph::stats

@@ -1,10 +1,5 @@
 #include "stats/markov_table.h"
 
-#include <utility>
-#include <vector>
-
-#include "util/shard.h"
-
 namespace cegraph::stats {
 
 bool MarkovTable::Contains(const query::QueryGraph& pattern) const {
@@ -21,59 +16,11 @@ util::StatusOr<double> MarkovTable::Cardinality(
   }
   const std::string key = pattern.CanonicalCode();
   if (const double* hit = cache_.Find(key)) return *hit;
-  // Copy-on-miss from mapped snapshot bytes: a hit is decoded off the
-  // arena and memoized, so the page-cache probe is paid once per entry.
-  if (double mapped_value; FindMapped(key, &mapped_value)) {
-    return cache_.Insert(key, mapped_value);
-  }
   // Count outside the lock: exact matching dominates, and two threads
   // racing on the same cold pattern just compute the same value twice.
   auto count = matcher_.Count(pattern);
   if (!count.ok()) return count.status();
   return cache_.Insert(key, *count);
-}
-
-bool MarkovTable::FindMapped(const std::string& key, double* value) const {
-  for (const auto& [index, owner] : mapped_) {
-    auto hit = index.Find(key);
-    if (!hit.ok()) continue;  // clean miss or corrupt index: recompute
-    util::serde::Reader reader(*hit);
-    auto decoded = reader.ReadDouble();
-    if (!decoded.ok() || !reader.AtEnd()) continue;
-    *value = *decoded;
-    return true;
-  }
-  return false;
-}
-
-void MarkovTable::ExportArenaEntries(util::ArenaIndexBuilder& builder,
-                                     uint32_t shard,
-                                     uint32_t num_shards) const {
-  cache_.ForEach([&](const std::string& key, const double& value) {
-    if (util::InShard(util::StableHash64(key), shard, num_shards)) {
-      util::serde::Writer v;
-      v.WriteDouble(value);
-      builder.Add(key, v.TakeBuffer());
-    }
-  });
-}
-
-util::Status MarkovTable::MaterializeFromIndex(
-    const util::MappedIndex& index) const {
-  util::Status decode = util::Status::OK();
-  util::Status walk =
-      index.Visit([&](std::string_view key, std::string_view value) {
-        if (!decode.ok()) return;
-        util::serde::Reader reader(value);
-        auto decoded = reader.ReadDouble();
-        if (!decoded.ok() || !reader.AtEnd()) {
-          decode = util::InvalidArgumentError("markov arena entry malformed");
-          return;
-        }
-        cache_.Insert(std::string(key), *decoded);
-      });
-  if (!walk.ok()) return walk;
-  return decode;
 }
 
 size_t MarkovTable::ApproximateSizeBytes() const {
@@ -91,38 +38,6 @@ size_t MarkovTable::ApproximateSizeBytes() const {
     if (!small_string) bytes += key.capacity() + 1;
   });
   return bytes;
-}
-
-void MarkovTable::ExportEntries(util::serde::Writer& writer, uint32_t shard,
-                                uint32_t num_shards) const {
-  // Snapshot the entries first (ForEach holds the cache lock; writing while
-  // holding it would be fine too, but keeping the critical section minimal
-  // matches the rest of the library).
-  std::vector<std::pair<std::string, double>> entries;
-  entries.reserve(cache_.size());
-  cache_.ForEach([&](const std::string& key, const double& value) {
-    if (util::InShard(util::StableHash64(key), shard, num_shards)) {
-      entries.emplace_back(key, value);
-    }
-  });
-  writer.WriteU64(entries.size());
-  for (const auto& [key, value] : entries) {
-    writer.WriteString(key);
-    writer.WriteDouble(value);
-  }
-}
-
-util::Status MarkovTable::ImportEntries(util::serde::Reader& reader) const {
-  auto count = reader.ReadU64();
-  if (!count.ok()) return count.status();
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto key = reader.ReadString();
-    if (!key.ok()) return key.status();
-    auto value = reader.ReadDouble();
-    if (!value.ok()) return value.status();
-    cache_.Insert(*key, *value);
-  }
-  return util::Status::OK();
 }
 
 }  // namespace cegraph::stats

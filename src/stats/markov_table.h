@@ -1,17 +1,12 @@
 #ifndef CEGRAPH_STATS_MARKOV_TABLE_H_
 #define CEGRAPH_STATS_MARKOV_TABLE_H_
 
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "graph/graph.h"
 #include "matching/matcher.h"
 #include "query/query_graph.h"
-#include "util/arena.h"
 #include "util/keyed_cache.h"
-#include "util/serde.h"
 #include "util/status.h"
 
 namespace cegraph::stats {
@@ -52,50 +47,14 @@ class MarkovTable {
   /// in MBs; each entry is one pattern cardinality).
   size_t num_entries() const { return cache_.size(); }
 
-  /// Serializes every memoized (canonical code, cardinality) entry — the
-  /// Markov section of a summary snapshot. With num_shards >= 2 only the
-  /// entries whose key-hash range is `shard` are written (the sharded
-  /// snapshot layer; see util/shard.h — the union over all shards is
-  /// exactly the unsharded export).
-  void ExportEntries(util::serde::Writer& writer, uint32_t shard = 0,
-                     uint32_t num_shards = 0) const;
+  /// Snapshot entry encoding: key = canonical code bytes, value = 8-byte
+  /// LE double.
+  struct Codec : util::StringKeyCodec, util::F64ValueCodec {};
+  using Cache = util::MappedKeyedCache<std::string, double, Codec>;
 
-  /// Merges previously exported entries into the memo cache (existing
-  /// entries win, though for one graph the values are identical by
-  /// construction). Fails on truncated/corrupted input.
-  util::Status ImportEntries(util::serde::Reader& reader) const;
-
-  // ---- Mapped-backing surface (arena snapshot v3) ----
-  // The mapped-or-owned storage model: lookups consult the memo cache
-  // first, then any attached read-only arena indexes (snapshot bytes served
-  // in place off the page cache), and copy a mapped hit into the memo on
-  // first touch (copy-on-miss). Writes always go to the memo, so the
-  // dynamic layer's upsert/evict machinery is unchanged. Attach/detach must
-  // run quiesced (load / maintenance time), like every other maintenance
-  // operation; concurrent estimation only ever *reads* the index list.
-
-  /// Serializes entries into an arena hash index — the v3 analogue of
-  /// ExportEntries (key = canonical code bytes, value = 8-byte LE double;
-  /// same shard filter).
-  void ExportArenaEntries(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
-                          uint32_t num_shards = 0) const;
-
-  /// Attaches one mapped index; `owner` keeps the mapping alive.
-  void AttachMappedIndex(util::MappedIndex index,
-                         std::shared_ptr<const void> owner) const {
-    mapped_.emplace_back(std::move(index), std::move(owner));
-  }
-
-  /// Drops all mapped backing. The dynamic layer calls this before
-  /// scrubbing: a scrub can only evict memo entries, and a still-attached
-  /// index would resurrect pre-delta values.
-  void DetachMappedIndexes() const { mapped_.clear(); }
-
-  size_t num_mapped_indexes() const { return mapped_.size(); }
-
-  /// Decodes every entry of `index` into the memo cache (stale snapshot
-  /// loads materialize-then-scrub; cross-format verification).
-  util::Status MaterializeFromIndex(const util::MappedIndex& index) const;
+  /// The memo with its attached snapshot indexes: the snapshot layer
+  /// exports, attaches and materializes entries through it.
+  const Cache& cache() const { return cache_; }
 
   // ---- Maintenance surface (dynamic layer) ----
   // These exist for dynamic::StatsMaintainer: migrating entries onto a new
@@ -103,10 +62,11 @@ class MarkovTable {
   // must run quiesced (no concurrent estimation), like every maintenance
   // operation.
 
-  /// Calls `fn(canonical_code, cardinality)` for every memoized entry.
+  /// Calls `fn(canonical_code, cardinality)` for every entry, memoized or
+  /// still served off an attached snapshot index.
   template <typename Fn>
   void VisitEntries(Fn&& fn) const {
-    cache_.ForEach(fn);
+    cache_.ForEachEntry(fn);
   }
 
   /// Inserts or overwrites one memo entry with an externally computed exact
@@ -138,17 +98,10 @@ class MarkovTable {
   size_t ApproximateSizeBytes() const;
 
  private:
-  /// Mapped probe after a memo miss; false on a clean miss *or* on a
-  /// corrupted index (the caller recomputes — corruption on this no-Status
-  /// path degrades to a cache miss, never an error).
-  bool FindMapped(const std::string& key, double* value) const;
-
   const graph::Graph& g_;
   matching::Matcher matcher_;
   int h_;
-  util::KeyedCache<std::string, double> cache_;
-  mutable std::vector<std::pair<util::MappedIndex, std::shared_ptr<const void>>>
-      mapped_;
+  Cache cache_;
 };
 
 }  // namespace cegraph::stats

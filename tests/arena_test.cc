@@ -7,10 +7,9 @@
 // randomized byte mutation in the wire_fuzz_test style.
 //
 // Correctness: an arena snapshot served in place must be bit-identical to
-// the v2 parse path and to a cold build for every registry estimator —
-// monolithic, sharded (including manifests mixing arena and v2 shard
-// files), and through the delta machinery (fresh attach + later deltas,
-// and stale loads that replay).
+// a cold build for every registry estimator — monolithic, sharded, and
+// through the delta machinery (fresh attach + later deltas, and stale
+// loads that replay).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -280,36 +279,33 @@ void Prewarm(EstimationEngine& engine,
   engine.context().Prewarm(workload, prewarm);
 }
 
-TEST(ArenaSnapshotTest, MappedLoadIsBitIdenticalToParsedAndCold) {
+/// True iff the file at `path` starts with the arena magic.
+bool HasArenaMagic(const std::string& path) {
+  const std::string bytes = ReadAll(path);
+  return bytes.size() >= 8 &&
+         std::memcmp(bytes.data(), util::kArenaMagic, 8) == 0;
+}
+
+TEST(ArenaSnapshotTest, MappedLoadIsBitIdenticalToCold) {
   const graph::Graph g = SmallGraph();
   const auto workload = SmallWorkload(g);
   TempDir dir("cross_format");
 
   EstimationEngine cold(g);
   Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v2.snap")).ok());
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v3.snap")).ok());
   const std::vector<double> cold_estimates = AllEstimates(cold, workload);
-
-  EstimationEngine parsed(g);
-  EstimationContext::SnapshotLoadReport parsed_report;
-  ASSERT_TRUE(
-      parsed.context().LoadSnapshot(dir.File("v2.snap"), &parsed_report).ok());
-  EXPECT_FALSE(parsed_report.mapped);
 
   EstimationEngine mapped(g);
   EstimationContext::SnapshotLoadReport mapped_report;
-  auto loaded = mapped.context().LoadSnapshotMapped(dir.File("v3.snap"),
-                                                    &mapped_report);
+  auto loaded =
+      mapped.context().LoadSnapshot(dir.File("v3.snap"), &mapped_report);
   ASSERT_TRUE(loaded.ok()) << loaded;
   EXPECT_TRUE(mapped_report.mapped);
   EXPECT_FALSE(mapped_report.stale);
   EXPECT_EQ(mapped_report.mapped_bytes,
             std::filesystem::file_size(dir.File("v3.snap")));
 
-  ExpectBitIdentical(AllEstimates(parsed, workload), cold_estimates);
   ExpectBitIdentical(AllEstimates(mapped, workload), cold_estimates);
 }
 
@@ -319,44 +315,15 @@ TEST(ArenaSnapshotTest, LoadSnapshotRoutesArenaFilesByMagic) {
   TempDir dir("routing");
   EstimationEngine cold(g);
   Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
-  EXPECT_TRUE(IsArenaSnapshot(dir.File("v3.snap")));
+  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v3.snap")).ok());
+  EXPECT_TRUE(HasArenaMagic(dir.File("v3.snap")));
+  EXPECT_FALSE(IsShardManifest(dir.File("v3.snap")));
 
-  // The generic entry point must detect and map the arena file; the
-  // mapped entry point must in turn fall back to parsing for v2 files.
+  // The generic entry point must detect and map the arena file.
   EstimationEngine warm(g);
   EstimationContext::SnapshotLoadReport report;
   ASSERT_TRUE(warm.context().LoadSnapshot(dir.File("v3.snap"), &report).ok());
   EXPECT_TRUE(report.mapped);
-
-  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v2.snap")).ok());
-  EstimationEngine warm2(g);
-  ASSERT_TRUE(
-      warm2.context().LoadSnapshotMapped(dir.File("v2.snap"), &report).ok());
-  EXPECT_FALSE(report.mapped);
-}
-
-TEST(ArenaSnapshotTest, ArenaResavesAsV2Identically) {
-  const graph::Graph g = SmallGraph();
-  const auto workload = SmallWorkload(g);
-  TempDir dir("resave");
-  EstimationEngine cold(g);
-  Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
-
-  // Mapped context -> v2 save -> parse: estimates survive two format hops.
-  EstimationEngine mapped(g);
-  ASSERT_TRUE(mapped.context().LoadSnapshot(dir.File("v3.snap")).ok());
-  const std::vector<double> mapped_estimates = AllEstimates(mapped, workload);
-  ASSERT_TRUE(mapped.context().SaveSnapshot(dir.File("back.snap")).ok());
-
-  EstimationEngine reparsed(g);
-  ASSERT_TRUE(reparsed.context().LoadSnapshot(dir.File("back.snap")).ok());
-  ExpectBitIdentical(AllEstimates(reparsed, workload), mapped_estimates);
 }
 
 TEST(ArenaSnapshotTest, InspectReportsAlignedArenaSections) {
@@ -365,9 +332,7 @@ TEST(ArenaSnapshotTest, InspectReportsAlignedArenaSections) {
   TempDir dir("inspect");
   EstimationEngine cold(g);
   Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v3.snap")).ok());
 
   auto info = ReadSnapshotInfo(dir.File("v3.snap"));
   ASSERT_TRUE(info.ok()) << info.status();
@@ -394,9 +359,7 @@ TEST(ArenaSnapshotTest, TruncatedArenaFilesRejectedCleanly) {
   TempDir dir("truncate");
   EstimationEngine cold(g);
   Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v3.snap")).ok());
   const std::string image = ReadAll(dir.File("v3.snap"));
 
   // A sweep of truncation points: container header, section table, and
@@ -420,9 +383,7 @@ TEST(ArenaSnapshotTest, RandomMutationsNeverCrashTheLoader) {
   TempDir dir("mutate");
   EstimationEngine cold(g);
   Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v3.snap")).ok());
   const std::string pristine = ReadAll(dir.File("v3.snap"));
 
   // wire_fuzz_test-style mutation loop: random byte flips (plus occasional
@@ -466,17 +427,14 @@ TEST(ArenaSnapshotTest, ArenaShardManifestLoadsBitIdentically) {
   TempDir dir("shards");
   EstimationEngine cold(g);
   Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshotShards(dir.File("m_ar"), 3,
-                                      SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(cold.context().SaveSnapshotShards(dir.File("m_ar"), 3).ok());
   const std::vector<double> cold_estimates = AllEstimates(cold, workload);
 
   auto manifest = ReadShardManifest(dir.File("m_ar"));
   ASSERT_TRUE(manifest.ok()) << manifest.status();
   EXPECT_EQ(manifest->snapshot_version, kSnapshotVersionArena);
-  EXPECT_TRUE(IsArenaSnapshot(dir.File("m_ar.common")));
-  EXPECT_TRUE(IsArenaSnapshot(dir.File("m_ar.shard0")));
+  EXPECT_TRUE(HasArenaMagic(dir.File("m_ar.common")));
+  EXPECT_TRUE(HasArenaMagic(dir.File("m_ar.shard0")));
 
   EstimationEngine warm(g);
   EstimationContext::SnapshotLoadReport report;
@@ -484,74 +442,6 @@ TEST(ArenaSnapshotTest, ArenaShardManifestLoadsBitIdentically) {
   ASSERT_TRUE(loaded.ok()) << loaded;
   EXPECT_TRUE(report.mapped);
   EXPECT_GT(report.mapped_bytes, 0u);
-  ExpectBitIdentical(AllEstimates(warm, workload), cold_estimates);
-}
-
-/// Rewrites `manifest_path` in place after `mutate` adjusted its entries —
-/// the byte layout is header (magic, version, fingerprint, options)
-/// followed by a tail this helper re-encodes from the parsed manifest.
-void RewriteManifestTail(const std::string& manifest_path,
-                         const ShardManifest& manifest) {
-  const std::string raw = ReadAll(manifest_path);
-  size_t tail_len = 4 + 4 + (8 + manifest.common.file.size()) + 8 + 8 + 4;
-  for (const ShardFileInfo& shard : manifest.shards) {
-    tail_len += 4 + (8 + shard.file.size()) + 8 + 8;
-  }
-  ASSERT_LT(tail_len, raw.size());
-  util::serde::Writer tail;
-  tail.WriteU32(manifest.snapshot_version);
-  tail.WriteU32(manifest.num_shards);
-  tail.WriteString(manifest.common.file);
-  tail.WriteU64(manifest.common.bytes);
-  tail.WriteU64(manifest.common.hash);
-  tail.WriteU32(static_cast<uint32_t>(manifest.shards.size()));
-  for (const ShardFileInfo& shard : manifest.shards) {
-    tail.WriteU32(shard.shard);
-    tail.WriteString(shard.file);
-    tail.WriteU64(shard.bytes);
-    tail.WriteU64(shard.hash);
-  }
-  ASSERT_EQ(tail.size(), tail_len);
-  WriteAll(manifest_path, raw.substr(0, raw.size() - tail_len) +
-                              tail.buffer());
-}
-
-TEST(ArenaSnapshotTest, ManifestMixingArenaAndV2ShardFilesLoads) {
-  const graph::Graph g = SmallGraph();
-  const auto workload = SmallWorkload(g);
-  TempDir dir("mixed");
-  EstimationEngine cold(g);
-  Prewarm(cold, workload);
-  // The same context sharded both ways: shard k carries the same keys in
-  // both formats (shard routing hashes only the keys), so files are
-  // interchangeable per slot.
-  ASSERT_TRUE(cold.context().SaveSnapshotShards(dir.File("mix"), 2).ok());
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshotShards(dir.File("donor"), 2,
-                                      SnapshotFormat::kArena)
-                  .ok());
-  const std::vector<double> cold_estimates = AllEstimates(cold, workload);
-
-  // Splice the arena shard 1 into the v2 manifest: replace the file bytes
-  // and patch that entry's size/hash so the manifest stays consistent.
-  auto manifest = ReadShardManifest(dir.File("mix"));
-  ASSERT_TRUE(manifest.ok()) << manifest.status();
-  ASSERT_EQ(manifest->shards.size(), 2u);
-  const std::string donor_bytes = ReadAll(dir.File("donor.shard1"));
-  WriteAll(dir.File("mix.shard1"), donor_bytes);
-  manifest->shards[1].bytes = donor_bytes.size();
-  manifest->shards[1].hash = util::StableHash64(donor_bytes);
-  RewriteManifestTail(dir.File("mix"), *manifest);
-
-  EXPECT_FALSE(IsArenaSnapshot(dir.File("mix.shard0")));
-  EXPECT_TRUE(IsArenaSnapshot(dir.File("mix.shard1")));
-
-  EstimationEngine warm(g);
-  EstimationContext::SnapshotLoadReport report;
-  auto loaded = warm.context().LoadSnapshot(dir.File("mix"), &report);
-  ASSERT_TRUE(loaded.ok()) << loaded;
-  EXPECT_TRUE(report.mapped);  // the arena shard attached in place
-  EXPECT_EQ(report.mapped_bytes, donor_bytes.size());
   ExpectBitIdentical(AllEstimates(warm, workload), cold_estimates);
 }
 
@@ -582,13 +472,9 @@ TEST(ArenaSnapshotTest, DeltasAfterMappedLoadMatchColdRebuild) {
   const auto workload = SmallWorkload(g);
   const auto batch = MixedBatch(g, 20, 25);
   TempDir dir("deltas");
-  {
-    EstimationEngine base(g);
-    Prewarm(base, workload);
-    ASSERT_TRUE(base.context()
-                    .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                    .ok());
-  }
+  EstimationEngine base(g);
+  Prewarm(base, workload);
+  ASSERT_TRUE(base.context().SaveSnapshot(dir.File("v3.snap")).ok());
 
   // Mapped-backed context, then live deltas through the full maintenance
   // path: the epoch swap rebuilds the stats structures, so mapped entries
@@ -597,7 +483,25 @@ TEST(ArenaSnapshotTest, DeltasAfterMappedLoadMatchColdRebuild) {
   EstimationContext::SnapshotLoadReport report;
   ASSERT_TRUE(mapped.context().LoadSnapshot(dir.File("v3.snap"), &report).ok());
   ASSERT_TRUE(report.mapped);
-  ASSERT_TRUE(mapped.ApplyDeltas(batch).ok());
+  auto folded = mapped.ApplyDeltas(batch);
+  ASSERT_TRUE(folded.ok()) << folded.status();
+
+  // The fold migrates the attached entries exactly as it migrates the
+  // resident ones of the context that built the snapshot.
+  auto base_folded = base.ApplyDeltas(batch);
+  ASSERT_TRUE(base_folded.ok()) << base_folded.status();
+  EXPECT_EQ(folded->markov_carried, base_folded->markov_carried);
+  EXPECT_EQ(folded->markov_evicted, base_folded->markov_evicted);
+  EXPECT_EQ(folded->markov_exact_updates, base_folded->markov_exact_updates);
+  EXPECT_EQ(folded->base_relations_refreshed,
+            base_folded->base_relations_refreshed);
+  EXPECT_EQ(folded->joins_carried, base_folded->joins_carried);
+  EXPECT_EQ(folded->joins_evicted, base_folded->joins_evicted);
+  EXPECT_EQ(folded->closing_carried, base_folded->closing_carried);
+  EXPECT_EQ(folded->closing_evicted, base_folded->closing_evicted);
+  EXPECT_EQ(folded->dispersion_carried, base_folded->dispersion_carried);
+  EXPECT_EQ(folded->dispersion_evicted, base_folded->dispersion_evicted);
+  EXPECT_GT(folded->markov_carried + folded->markov_evicted, 0u);
 
   dynamic::DeltaGraph overlay(g);
   ASSERT_TRUE(overlay.Apply(batch).ok());
@@ -616,9 +520,7 @@ TEST(ArenaSnapshotTest, StaleArenaLoadReplaysToColdEquivalence) {
   {
     EstimationEngine base(g);
     Prewarm(base, workload);
-    ASSERT_TRUE(base.context()
-                    .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                    .ok());
+    ASSERT_TRUE(base.context().SaveSnapshot(dir.File("v3.snap")).ok());
   }
 
   // A drifted context loads the epoch-0 arena: stale, so sections are
@@ -653,9 +555,7 @@ TEST(ArenaSnapshotTest, ArenaEmbedsReplayableDeltaLog) {
   EstimationEngine producer(g);
   Prewarm(producer, workload);
   ASSERT_TRUE(producer.ApplyDeltas(batch).ok());
-  ASSERT_TRUE(producer.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(producer.context().SaveSnapshot(dir.File("v3.snap")).ok());
 
   auto log = ReadSnapshotDeltaLog(dir.File("v3.snap"));
   ASSERT_TRUE(log.ok()) << log.status();

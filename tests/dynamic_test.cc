@@ -429,7 +429,7 @@ TEST(DynamicContextTest, SnapshotMismatchesAreRejectedLoudly) {
   const auto batch = MixedBatch(g, 10, 10);
   TempFile file("mismatch");
 
-  // A post-delta (version 2) snapshot...
+  // A post-delta snapshot...
   engine::EstimationEngine drifted(g);
   drifted.context().Prewarm(workload);
   ASSERT_TRUE(drifted.ApplyDeltas(batch).ok());

@@ -198,28 +198,31 @@ TEST(ShardTest, PartialShardLoadStaysCorrectAndLoadsFewerEntries) {
   const std::string manifest = dir.File("stats.manifest");
   ASSERT_TRUE(cold.context().SaveSnapshotShards(manifest, 4).ok());
 
-  // A fleet process loads only shard 2: fewer resident entries than the
-  // union, but estimates recompute lazily to the same values.
-  EstimationContext partial(g);
-  ASSERT_TRUE(partial.LoadSnapshotShards(manifest, {2}, nullptr).ok());
-  EstimationContext full(g);
-  ASSERT_TRUE(full.LoadSnapshotShards(manifest, {}, nullptr).ok());
-
-  size_t partial_entries = 0, full_entries = 0;
-  for (const auto& cs : partial.CollectCacheStats()) {
-    partial_entries += cs.entries;
-  }
-  for (const auto& cs : full.CollectCacheStats()) {
-    full_entries += cs.entries;
-  }
-  EXPECT_LT(partial_entries, full_entries);
-
-  EstimationEngine partial_engine(g);
+  // A fleet process loads only shard 2: it maps fewer bytes than the
+  // union, and the lookups the other shards would have answered miss and
+  // recompute lazily to the same values.
+  EstimationEngine partial(g);
+  EstimationContext::SnapshotLoadReport partial_report;
+  ASSERT_TRUE(partial.context()
+                  .LoadSnapshotShards(manifest, {2}, &partial_report)
+                  .ok());
+  EstimationEngine full(g);
+  EstimationContext::SnapshotLoadReport full_report;
   ASSERT_TRUE(
-      partial_engine.context().LoadSnapshotShards(manifest, {2}, nullptr)
-          .ok());
-  ExpectBitIdentical(AllRegistryEstimates(partial_engine, workload),
+      full.context().LoadSnapshotShards(manifest, {}, &full_report).ok());
+  EXPECT_LT(partial_report.mapped_bytes, full_report.mapped_bytes);
+
+  ExpectBitIdentical(AllRegistryEstimates(partial, workload),
                      cold_estimates);
+  ExpectBitIdentical(AllRegistryEstimates(full, workload), cold_estimates);
+  auto keyed_misses = [](const EstimationContext& context) {
+    uint64_t misses = 0;
+    for (const auto& cache : context.CollectCacheStats()) {
+      if (cache.name != "ceg-cache") misses += cache.counters.misses;
+    }
+    return misses;
+  };
+  EXPECT_GT(keyed_misses(partial.context()), keyed_misses(full.context()));
 }
 
 TEST(ShardTest, PostDeltaShardManifestReconstructsViaEmbeddedLog) {
@@ -227,8 +230,8 @@ TEST(ShardTest, PostDeltaShardManifestReconstructsViaEmbeddedLog) {
   const graph::Graph g = SmallGraph(17);
   const auto workload = SmallWorkload(g);
 
-  // A context that has applied deltas writes version-2 shard files whose
-  // common file embeds the replay log.
+  // A context that has applied deltas writes shard files whose common
+  // file embeds the replay log.
   EstimationEngine live(g);
   (void)AllRegistryEstimates(live, workload);
   const auto batch = dynamic::RandomEdgeBatch(g, 120, 23);
@@ -348,7 +351,7 @@ TEST(ShardTest, HandCraftedManifestRejectsOverlapGapAndRange) {
     w.WriteU64(0);                              // materialize cap
     for (int i = 0; i < 3; ++i) w.WriteU32(0);  // cc sampling
     w.WriteU64(0);                              // cc seed
-    w.WriteU32(kSnapshotVersionStatic);
+    w.WriteU32(kSnapshotVersionArena);
     w.WriteU32(num_shards);
     w.WriteString("common");
     w.WriteU64(0);
@@ -399,7 +402,7 @@ TEST(ShardTest, SelfReferentialManifestIsRejectedNotRecursedInto) {
   w.WriteU64(0);
   for (int i = 0; i < 3; ++i) w.WriteU32(0);
   w.WriteU64(0);
-  w.WriteU32(kSnapshotVersionStatic);
+  w.WriteU32(kSnapshotVersionArena);
   w.WriteU32(1);
   w.WriteString("evil");  // the manifest's own file name
   w.WriteU64(0);

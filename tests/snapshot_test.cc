@@ -1,7 +1,8 @@
 // Tests for the persistent summary-snapshot layer: Prewarm → SaveSnapshot →
-// LoadSnapshot round-trips reproduce bit-identical estimates for every
-// registry estimator, fingerprint-mismatched and corrupted files are
-// rejected cleanly, and the markov(h) validation satellite holds.
+// LoadSnapshot round-trips reproduce bit-identical estimates (and cache
+// counters) for every registry estimator, fingerprint-mismatched,
+// corrupted and retired-format files are rejected cleanly, and the
+// markov(h) validation satellite holds.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,7 +20,9 @@
 #include "graph/generators.h"
 #include "query/templates.h"
 #include "query/workload.h"
+#include "util/arena.h"
 #include "util/serde.h"
+#include "util/shard.h"
 
 namespace cegraph::engine {
 namespace {
@@ -95,6 +99,35 @@ void ExpectBitIdentical(const std::vector<double>& a,
   }
 }
 
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return std::move(buffer).str();
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Hits and misses each keyed cache of `context` gained between `before`
+/// (a CollectCacheStats result) and now; caches created in between count
+/// from zero.
+std::map<std::string, std::pair<uint64_t, uint64_t>> CounterDeltas(
+    const std::vector<EstimationContext::CacheStats>& before,
+    const EstimationContext& context) {
+  std::map<std::string, std::pair<uint64_t, uint64_t>> deltas;
+  for (const auto& cache : context.CollectCacheStats()) {
+    deltas[cache.name] = {cache.counters.hits, cache.counters.misses};
+  }
+  for (const auto& cache : before) {
+    deltas[cache.name].first -= cache.counters.hits;
+    deltas[cache.name].second -= cache.counters.misses;
+  }
+  return deltas;
+}
+
 TEST(SnapshotTest, RoundTripReproducesBitIdenticalEstimates) {
   const graph::Graph g = SmallGraph();
   const auto workload = SmallWorkload(g);
@@ -111,13 +144,25 @@ TEST(SnapshotTest, RoundTripReproducesBitIdenticalEstimates) {
   EXPECT_GT(report.base_relations, 0u);
   EXPECT_GT(report.closing_keys, 0u);  // workload has 4-cycles, h = 2
   ASSERT_TRUE(cold.context().SaveSnapshot(file.path()).ok());
+  const auto cold_before = cold.context().CollectCacheStats();
   const std::vector<double> cold_estimates = AllEstimates(cold, workload);
+  const auto cold_deltas = CounterDeltas(cold_before, cold.context());
 
   // Load into a fresh context and compare every estimator's estimates.
   EstimationEngine warm(g);
-  auto loaded = warm.context().LoadSnapshot(file.path());
+  EstimationContext::SnapshotLoadReport load;
+  auto loaded = warm.context().LoadSnapshot(file.path(), &load);
   ASSERT_TRUE(loaded.ok()) << loaded;
+  EXPECT_TRUE(load.mapped);
+  const auto warm_before = warm.context().CollectCacheStats();
   ExpectBitIdentical(AllEstimates(warm, workload), cold_estimates);
+
+  // The same estimate calls move every keyed cache's counters by exactly
+  // as much on both contexts: a lookup the attached index answers is a
+  // hit, like the memo hit it stands in for on the building context.
+  const auto warm_deltas = CounterDeltas(warm_before, warm.context());
+  EXPECT_EQ(warm_deltas, cold_deltas);
+  EXPECT_GT(warm_deltas.at("markov(h=2)").first, 0u);
 }
 
 TEST(SnapshotTest, PrewarmCoversEveryOptimisticLookup) {
@@ -155,12 +200,11 @@ TEST(SnapshotTest, InspectReportsSections) {
 
   auto info = ReadSnapshotInfo(file.path());
   ASSERT_TRUE(info.ok()) << info.status();
-  // A context that never applied deltas writes the static (version 1)
-  // format; version 2 is reserved for post-delta snapshots.
-  EXPECT_EQ(info->version, kSnapshotVersionStatic);
+  EXPECT_EQ(info->version, kSnapshotVersionArena);
   EXPECT_EQ(info->fingerprint, g.fingerprint());
   EXPECT_EQ(info->epoch, 0u);
-  EXPECT_GE(info->sections.size(), 5u);  // markov, rates, degree, cs, sumrdf
+  // meta, markov, rates, degree bases + joins, cs, sumrdf
+  EXPECT_GE(info->sections.size(), 7u);
   bool saw_markov = false;
   for (const auto& section : info->sections) {
     if (section.name == "markov") {
@@ -222,25 +266,17 @@ TEST(SnapshotTest, CorruptedFilesRejected) {
   EstimationEngine engine(g);
   engine.context().Prewarm(workload);
   ASSERT_TRUE(engine.context().SaveSnapshot(file.path()).ok());
+  const std::string bytes = ReadAll(file.path());
+  auto info = ReadSnapshotInfo(file.path());
+  ASSERT_TRUE(info.ok()) << info.status();
 
-  std::string bytes;
-  {
-    std::ifstream in(file.path(), std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = std::move(buffer).str();
-  }
-  auto write_variant = [&](const std::string& data) {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  };
-
-  // Truncation at several depths: header, section table, mid-payload. A
-  // failed load must also leave the context untouched (no partially
-  // imported sections), per the two-phase apply in LoadSnapshot.
+  // Truncation at several depths: container header, section table,
+  // mid-payload, and the last payload (a cut of 8 bytes always reaches
+  // past its at most 7 bytes of alignment padding). A failed load must
+  // also leave the context untouched (nothing attached or imported).
   for (size_t keep : {size_t{4}, size_t{20}, bytes.size() / 2,
-                      bytes.size() - 3}) {
-    write_variant(bytes.substr(0, keep));
+                      bytes.size() - 8}) {
+    WriteAll(file.path(), bytes.substr(0, keep));
     EstimationEngine fresh(g);
     auto loaded = fresh.context().LoadSnapshot(file.path());
     EXPECT_FALSE(loaded.ok()) << "kept " << keep << " of " << bytes.size();
@@ -252,27 +288,35 @@ TEST(SnapshotTest, CorruptedFilesRejected) {
   {
     std::string bad = bytes;
     bad[0] = 'X';
-    write_variant(bad);
+    WriteAll(file.path(), bad);
     EstimationEngine fresh(g);
     auto loaded = fresh.context().LoadSnapshot(file.path());
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.code(), util::StatusCode::kInvalidArgument);
   }
 
-  // Unsupported version.
+  // Unsupported container version (the u32 after magic + endian word).
   {
     std::string bad = bytes;
-    bad[8] = 99;
-    write_variant(bad);
+    bad[12] = 99;
+    WriteAll(file.path(), bad);
     EstimationEngine fresh(g);
     EXPECT_FALSE(fresh.context().LoadSnapshot(file.path()).ok());
   }
 
-  // Trailing garbage after the last section.
+  // Unsupported snapshot version inside the arena-meta section.
   {
-    write_variant(bytes + "garbage");
+    std::string bad = bytes;
+    for (const SnapshotSectionInfo& section : info->sections) {
+      if (section.id == static_cast<uint32_t>(SnapshotSection::kArenaMeta)) {
+        bad[section.offset] = 99;
+      }
+    }
+    WriteAll(file.path(), bad);
     EstimationEngine fresh(g);
-    EXPECT_FALSE(fresh.context().LoadSnapshot(file.path()).ok());
+    auto loaded = fresh.context().LoadSnapshot(file.path());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.code(), util::StatusCode::kInvalidArgument);
   }
 }
 
@@ -283,34 +327,88 @@ TEST(SnapshotTest, UnknownSectionsAreSkipped) {
   EstimationEngine engine(g);
   engine.context().Prewarm(workload);
   ASSERT_TRUE(engine.context().SaveSnapshot(file.path()).ok());
+  const std::vector<double> expected = AllEstimates(engine, workload);
 
-  // Append a section with an id from the future by rewriting the file:
-  // bump the section count and append {id=999, payload}.
-  std::string bytes;
-  {
-    std::ifstream in(file.path(), std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = std::move(buffer).str();
+  // Re-emit the arena with an extra section whose id comes from the future.
+  auto arena = util::MappedArena::FromBytes(ReadAll(file.path()));
+  ASSERT_TRUE(arena.ok()) << arena.status();
+  util::ArenaBuilder builder;
+  for (const util::MappedArena::Section& section : (*arena)->sections()) {
+    builder.AddSection(section.id,
+                       std::string((*arena)->SectionBytes(section)));
   }
-  // Section count lives after magic(8) + version(4) + fingerprint(28) +
-  // options block(36) = offset 76.
-  const size_t count_offset = 76;
-  bytes[count_offset] = static_cast<char>(bytes[count_offset] + 1);
-  util::serde::Writer extra;
-  extra.WriteU32(999);
-  extra.WriteU64(5);
-  extra.WriteRaw("hello");
-  bytes += extra.buffer();
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  builder.AddSection(999, "hello");
+  WriteAll(file.path(), builder.Finish());
 
   EstimationEngine fresh(g);
-  auto loaded = fresh.context().LoadSnapshot(file.path());
-  EXPECT_TRUE(loaded.ok()) << loaded;
-  EXPECT_GT(fresh.context().markov().num_entries(), 0u);
+  EstimationContext::SnapshotLoadReport report;
+  auto loaded = fresh.context().LoadSnapshot(file.path(), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded;
+  EXPECT_TRUE(report.mapped);
+  ExpectBitIdentical(AllEstimates(fresh, workload), expected);
+}
+
+TEST(SnapshotTest, RetiredFormatsRejectedWithRebuildHint) {
+  const graph::Graph g = SmallGraph();
+  TempFile retired("retired");
+  TempFile v2_manifest("retired_v2_manifest");
+  TempFile v3_manifest("retired_v3_manifest");
+  // A version-1 header: the "CEGSNAP1" magic, the version, then a body
+  // this build no longer parses.
+  util::serde::Writer old;
+  old.WriteRaw("CEGSNAP1");
+  old.WriteU32(1);
+  old.WriteRaw(std::string(64, '\0'));
+  WriteAll(retired.path(), old.buffer());
+
+  // Manifests naming the file: one recording the retired version 2, one
+  // claiming version 3 with a matching size and hash.
+  auto write_manifest = [&](const std::string& path, uint32_t version) {
+    util::serde::Writer w;
+    w.WriteRaw(std::string_view(kShardManifestMagic, 8));
+    w.WriteU32(kShardManifestVersion);
+    for (int i = 0; i < 3; ++i) w.WriteU32(0);  // fingerprint u32 triple
+    w.WriteU64(0);                              // num_edges
+    w.WriteU64(0);                              // edge_hash
+    for (int i = 0; i < 2; ++i) w.WriteU32(0);  // options u32 pair
+    w.WriteU64(0);                              // materialize cap
+    for (int i = 0; i < 3; ++i) w.WriteU32(0);  // cc sampling
+    w.WriteU64(0);                              // cc seed
+    w.WriteU32(version);
+    w.WriteU32(1);  // num_shards
+    const std::string name =
+        std::filesystem::path(retired.path()).filename().string();
+    for (const bool common : {true, false}) {
+      if (!common) {
+        w.WriteU32(1);  // entry count
+        w.WriteU32(0);  // shard id
+      }
+      w.WriteString(name);
+      w.WriteU64(old.size());
+      w.WriteU64(util::StableHash64(old.buffer()));
+    }
+    WriteAll(path, w.buffer());
+  };
+  write_manifest(v2_manifest.path(), 2);
+  write_manifest(v3_manifest.path(), kSnapshotVersionArena);
+
+  auto expect_rebuild_hint = [](const util::Status& status,
+                                const std::string& what) {
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(status.message().find("rebuild with `cegraph_stats build`"),
+              std::string::npos)
+        << what << ": " << status;
+  };
+  for (const std::string& path :
+       {retired.path(), v2_manifest.path(), v3_manifest.path()}) {
+    EstimationContext context(g);
+    expect_rebuild_hint(context.LoadSnapshot(path), "load " + path);
+    expect_rebuild_hint(ReadSnapshotDeltaLog(path).status(),
+                        "delta log " + path);
+  }
+  expect_rebuild_hint(ReadSnapshotInfo(retired.path()).status(), "info");
+  expect_rebuild_hint(ReadShardManifest(v2_manifest.path()).status(),
+                      "manifest");
 }
 
 TEST(SnapshotTest, MissingFileIsNotFound) {
@@ -328,7 +426,9 @@ TEST(SnapshotTest, SaveBeforeAnyStatsWritesEmptySnapshot) {
   ASSERT_TRUE(engine.context().SaveSnapshot(file.path()).ok());
   auto info = ReadSnapshotInfo(file.path());
   ASSERT_TRUE(info.ok());
-  EXPECT_TRUE(info->sections.empty());
+  ASSERT_EQ(info->sections.size(), 1u);  // the header only
+  EXPECT_EQ(info->sections[0].id,
+            static_cast<uint32_t>(SnapshotSection::kArenaMeta));
   // And an empty snapshot loads as a no-op.
   EstimationEngine fresh(g);
   EXPECT_TRUE(fresh.context().LoadSnapshot(file.path()).ok());

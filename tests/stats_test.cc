@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <set>
+#include <vector>
+
 #include "graph/generators.h"
 #include "matching/matcher.h"
 #include "query/subquery.h"
@@ -221,7 +226,7 @@ TEST(CharSetsTest, GroupsVerticesBySignature) {
   Graph g = TinyGraph();
   CharacteristicSets cs(g);
   // Vertex 0: {A}; vertex 3: {A}; vertex 1: {B}; vertex 2: {B}.
-  EXPECT_EQ(cs.groups().size(), 2u);
+  EXPECT_EQ(cs.num_groups(), 2u);
 }
 
 TEST(CharSetsTest, StarEstimateExactForSingleLabel) {
@@ -243,6 +248,100 @@ TEST(CharSetsTest, MissingLabelGivesZero) {
   Graph g = TinyGraph();
   CharacteristicSets cs(g);
   EXPECT_DOUBLE_EQ(cs.EstimateStar({0, 1}), 0.0);  // no vertex has both
+}
+
+// The owned Characteristic-Sets build and star loop the flat layout
+// replaced: vertices grouped in a std::map<std::set<Label>, Group>, and the
+// CS formula over std::set / std::map lookups. Kept here as the reference
+// the one flat EstimateStar loop is held bit-identical to.
+struct ReferenceGroup {
+  std::set<graph::Label> char_set;
+  uint64_t vertex_count = 0;
+  std::map<graph::Label, uint64_t> label_edges;
+};
+
+std::vector<ReferenceGroup> ReferenceGroups(const Graph& g) {
+  std::map<std::set<graph::Label>, ReferenceGroup> by_set;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    std::set<graph::Label> cs;
+    for (graph::Label l = 0; l < g.num_labels(); ++l) {
+      if (g.OutDegree(v, l) > 0) cs.insert(l);
+    }
+    if (cs.empty()) continue;
+    ReferenceGroup& group = by_set[cs];
+    group.char_set = cs;
+    ++group.vertex_count;
+    for (graph::Label l : cs) group.label_edges[l] += g.OutDegree(v, l);
+  }
+  std::vector<ReferenceGroup> groups;
+  for (auto& [cs, group] : by_set) groups.push_back(std::move(group));
+  return groups;
+}
+
+double ReferenceEstimateStar(const std::vector<ReferenceGroup>& groups,
+                             const std::vector<graph::Label>& labels) {
+  std::map<graph::Label, int> need;
+  for (graph::Label l : labels) ++need[l];
+  double total = 0;
+  for (const ReferenceGroup& group : groups) {
+    bool covers = true;
+    for (const auto& [l, cnt] : need) {
+      if (!group.char_set.contains(l)) {
+        covers = false;
+        break;
+      }
+    }
+    if (!covers) continue;
+    double contribution = static_cast<double>(group.vertex_count);
+    for (const auto& [l, cnt] : need) {
+      const double avg = static_cast<double>(group.label_edges.at(l)) /
+                         static_cast<double>(group.vertex_count);
+      contribution *= std::pow(avg, cnt);
+    }
+    total += contribution;
+  }
+  return total;
+}
+
+TEST(CharSetsTest, FlatEstimateStarMatchesOwnedReferenceBitForBit) {
+  for (const uint64_t seed : {3u, 11u}) {
+    graph::GeneratorConfig config;
+    config.num_vertices = 600;
+    config.num_edges = 4000;
+    config.num_labels = 7;
+    config.seed = seed;
+    auto g = graph::GenerateGraph(config);
+    ASSERT_TRUE(g.ok()) << g.status();
+    const std::vector<ReferenceGroup> reference = ReferenceGroups(*g);
+    const CharacteristicSets built(*g);
+    // The same bytes attached the way a snapshot load does (deferred
+    // per-group scan included).
+    auto attached = CharacteristicSets::Attach(built.bytes(), nullptr);
+    ASSERT_TRUE(attached.ok()) << attached.status();
+    ASSERT_TRUE(attached->ValidateNow().ok());
+    EXPECT_EQ(built.num_groups(), reference.size());
+    EXPECT_GT(reference.size(), 10u);  // enough groups to mean something
+
+    // Every label multiset of size 1..3 over the graph's labels.
+    const graph::Label n = g->num_labels();
+    size_t checked = 0;
+    for (graph::Label a = 0; a < n; ++a) {
+      for (graph::Label b = a; b <= n; ++b) {
+        for (graph::Label c = b; c <= n; ++c) {
+          std::vector<graph::Label> labels = {a};
+          if (b < n) labels.push_back(b);
+          if (b < n && c < n) labels.push_back(c);
+          if (b == n && c != n) continue;  // size-1 multisets once
+          const double expected = ReferenceEstimateStar(reference, labels);
+          EXPECT_EQ(built.EstimateStar(labels), expected) << "seed " << seed;
+          EXPECT_EQ(attached->EstimateStar(labels), expected)
+              << "seed " << seed;
+          ++checked;
+        }
+      }
+    }
+    EXPECT_EQ(checked, size_t{7 + 28 + 84});  // C(7,1) + C(8,2) + C(9,3)
+  }
 }
 
 TEST(SummaryGraphTest, PreservesTotalEdgeWeight) {
